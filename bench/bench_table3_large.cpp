@@ -14,6 +14,10 @@
 //   row 5  tot_info      CS  (concretize totals + slice)
 //   row 6  schedule2     S
 //
+// Usage: bench_table3_large [--threads N] [--rows LIST]
+//   --rows LIST   run only the listed rows, e.g. `2-5` or `1,3,6`
+//                 (row 1 alone takes minutes; rows 2-5 take seconds)
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchArgs.h"
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 using namespace bugassist;
 
@@ -52,6 +57,7 @@ struct RowResult {
   size_t Faults = 0;
   bool Detected = false;
   double Seconds = 0;
+  uint64_t Conflicts = 0; ///< localization search only (not the fallback)
 };
 
 UnrollOptions baseOpts(const LargeBenchmark &B) {
@@ -171,6 +177,7 @@ RowResult runRow(const LargeBenchmark &B, const char *Reduction,
   LocalizationReport Rep = localizeFault(TF, Input, S, LO);
   Row.Seconds = T.seconds();
   Row.Faults = Rep.AllLines.size();
+  Row.Conflicts = Rep.Search.Conflicts;
   for (uint32_t L : B.BugLines)
     Row.Detected |= std::find(Rep.AllLines.begin(), Rep.AllLines.end(), L) !=
                     Rep.AllLines.end();
@@ -184,34 +191,82 @@ RowResult runRow(const LargeBenchmark &B, const char *Reduction,
 void printRow(int N, const char *Name, const char *Reduction,
               const RowResult &R) {
   std::printf("%d %-13s %4zu %6zu  %-4s %8zu %8zu %9zu %9zu %9zu %9zu %7zu "
-              "%5s %8.2fs\n",
+              "%5s %8.2fs %9llu\n",
               N, Name, R.Loc, R.Procs, Reduction, R.AssignBefore,
               R.AssignAfter, R.VarBefore, R.VarAfter, R.ClauseBefore,
-              R.ClauseAfter, R.Faults, R.Detected ? "yes" : "NO", R.Seconds);
+              R.ClauseAfter, R.Faults, R.Detected ? "yes" : "NO", R.Seconds,
+              static_cast<unsigned long long>(R.Conflicts));
+}
+
+/// Parses a `--rows` list such as `2-5` or `1,3,6` into a mask over rows
+/// 1..6. \returns false on anything else (empty items, reversed or
+/// out-of-range bounds, stray characters).
+bool parseRows(const char *Arg, bool (&Mask)[7]) {
+  std::fill(std::begin(Mask), std::end(Mask), false);
+  const char *P = Arg;
+  for (;;) {
+    char *End = nullptr;
+    long Lo = std::strtol(P, &End, 10);
+    if (End == P)
+      return false;
+    long Hi = Lo;
+    P = End;
+    if (*P == '-') {
+      Hi = std::strtol(P + 1, &End, 10);
+      if (End == P + 1)
+        return false;
+      P = End;
+    }
+    if (Lo < 1 || Hi > 6 || Lo > Hi)
+      return false;
+    for (long R = Lo; R <= Hi; ++R)
+      Mask[R] = true;
+    if (*P == '\0')
+      return true;
+    if (*P++ != ',')
+      return false;
+  }
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    matchThreadsFlag(argc, argv, I, PortfolioThreads);
+  bool Rows[7] = {false, true, true, true, true, true, true};
+  for (int I = 1; I < argc; ++I) {
+    if (matchThreadsFlag(argc, argv, I, PortfolioThreads))
+      continue;
+    const char *List = nullptr;
+    if (std::strncmp(argv[I], "--rows=", 7) == 0)
+      List = argv[I] + 7;
+    else if (std::strcmp(argv[I], "--rows") == 0 && I + 1 < argc)
+      List = argv[++I];
+    if (List && !parseRows(List, Rows)) {
+      std::fprintf(stderr, "bench_table3_large: bad --rows list '%s' "
+                           "(expected e.g. 2-5 or 1,3,6)\n", List);
+      return 2;
+    }
+  }
   std::printf("Table 3: BugAssist on larger benchmark programs "
               "(S=slice, C=concretize, D=ddmin)\n\n");
-  std::printf("%-16s %4s %6s  %-4s %8s %8s %9s %9s %9s %9s %7s %5s %9s\n",
+  std::printf("%-16s %4s %6s  %-4s %8s %8s %9s %9s %9s %9s %7s %5s %9s "
+              "%9s\n",
               "# Program", "LOC", "Proc#", "Red", "assignB", "assignA",
               "varB", "varA", "clauseB", "clauseA", "Fault#", "hit",
-              "time");
+              "time", "conflicts");
 
   const LargeBenchmark &TotInfo = largeBenchmark("tot_info");
   const LargeBenchmark &PrintTokens = largeBenchmark("print_tokens");
   const LargeBenchmark &Schedule = largeBenchmark("schedule");
   const LargeBenchmark &Schedule2 = largeBenchmark("schedule2");
 
-  printRow(1, "tot_info", "S", runRow(TotInfo, "S", TotInfo.FailingInput));
-  printRow(2, "print_tokens", "C",
-           runRow(PrintTokens, "C", PrintTokens.FailingInput));
-  printRow(3, "schedule", "DS",
-           runRow(Schedule, "DS", Schedule.FailingInput));
+  if (Rows[1])
+    printRow(1, "tot_info", "S", runRow(TotInfo, "S", TotInfo.FailingInput));
+  if (Rows[2])
+    printRow(2, "print_tokens", "C",
+             runRow(PrintTokens, "C", PrintTokens.FailingInput));
+  if (Rows[3])
+    printRow(3, "schedule", "DS",
+             runRow(Schedule, "DS", Schedule.FailingInput));
 
   // Row 4: the same scheduler at a larger input scale -- the op string
   // fills the whole window with no halt, so ddmin has real work and the
@@ -219,11 +274,15 @@ int main(int argc, char **argv) {
   // larger failure-inducing input; its 11h runtime came from the unreduced
   // MaxSAT instances).
   InputVector BigInput = {InputValue::array({1, 2, 1, 2, 3, 1, 2, 1})};
-  printRow(4, "schedule", "DS", runRow(Schedule, "DS", BigInput));
+  if (Rows[4])
+    printRow(4, "schedule", "DS", runRow(Schedule, "DS", BigInput));
 
-  printRow(5, "tot_info", "CS", runRow(TotInfo, "CS", TotInfo.FailingInput));
-  printRow(6, "schedule2", "S",
-           runRow(Schedule2, "S", Schedule2.FailingInput));
+  if (Rows[5])
+    printRow(5, "tot_info", "CS",
+             runRow(TotInfo, "CS", TotInfo.FailingInput));
+  if (Rows[6])
+    printRow(6, "schedule2", "S",
+             runRow(Schedule2, "S", Schedule2.FailingInput));
 
   std::printf("\nShape targets (paper): reductions shrink assign#/var#/"
               "clause# by 1-3 orders of magnitude and the fault stays in "

@@ -474,12 +474,14 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
   Out += "restarts:     " + std::to_string(S.Restarts) + " (+" +
          std::to_string(S.RestartsBlocked) + " blocked)\n";
   Out += "learnts:      " + std::to_string(S.LearnedClauses) + " learned, " +
-         std::to_string(S.DeletedClauses) + " deleted\n";
-  if (S.VarsEliminated || S.ClausesSubsumed || S.LitsSelfSubsumed)
+         std::to_string(S.DeletedLearnts) + " deleted\n";
+  if (S.VarsEliminated || S.ClausesSubsumed || S.LitsSelfSubsumed ||
+      S.ClausesRemoved)
     Out += "simplify:     " + std::to_string(S.VarsEliminated) +
            " vars eliminated, " + std::to_string(S.ClausesSubsumed) +
            " clauses subsumed, " + std::to_string(S.LitsSelfSubsumed) +
-           " lits self-subsumed, " + std::to_string(S.ReconstructBytes) +
+           " lits self-subsumed, " + std::to_string(S.ClausesRemoved) +
+           " clauses removed, " + std::to_string(S.ReconstructBytes) +
            " reconstruction bytes\n";
   if (S.ClausesExported || S.ClausesImported)
     Out += "exchange:     " + std::to_string(S.ClausesExported) +

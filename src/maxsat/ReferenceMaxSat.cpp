@@ -27,7 +27,8 @@ void accumulate(SolverStats &Into, const SolverStats &From) {
   Into.Restarts += From.Restarts;
   Into.RestartsBlocked += From.RestartsBlocked;
   Into.LearnedClauses += From.LearnedClauses;
-  Into.DeletedClauses += From.DeletedClauses;
+  Into.DeletedLearnts += From.DeletedLearnts;
+  Into.ClausesRemoved += From.ClausesRemoved;
   Into.GcRuns += From.GcRuns;
   Into.LbdSum += From.LbdSum;
   Into.LbdCount += From.LbdCount;

@@ -65,7 +65,10 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
   assert(decisionLevel() == 0 && "strengthen only at the root level");
   assert(!clauseFreed(CR) && "strengthening a freed clause");
   assert(!isLocked(CR) && "strengthening a reason clause");
-  detachClause(CR);
+  // Strict, not lazy, detach: the clause stays alive, so a leftover
+  // watcher whose Blocker is the dropped literal L would let propagate()
+  // skip the clause as satisfied once L became true.
+  detachClause(CR, clauseSize(CR) == 2 ? BinWatches : Watches);
   uint32_t Size = clauseSize(CR);
   Lit *CL = clauseLits(CR);
   uint32_t K = 0;
@@ -93,7 +96,7 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
     Arena[CR] = Lit::fromCode((static_cast<int32_t>(Size) << 3) |
                               (header(CR) & 7) | FreedBit);
     ArenaWasted += HeaderWords + Size;
-    ++Stats.DeletedClauses;
+    ++Stats.ClausesRemoved;
     return Ok;
   }
   ArenaWasted += Size - NonFalse;
@@ -107,7 +110,7 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
     Lit U = CL[0];
     Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
     ArenaWasted += HeaderWords + 1;
-    ++Stats.DeletedClauses;
+    ++Stats.ClausesRemoved;
     uncheckedEnqueue(U, InvalidClause);
     Ok = (propagate() == InvalidClause);
     return Ok;
@@ -635,9 +638,19 @@ bool Simplifier::run(const Limits &L) {
     if (TotalElims)
       sweepLearnts();
     S.refreshTierGauges();
-    S.checkGarbage();
+    finish();
   }
   return S.Ok;
+}
+
+void Simplifier::finish() {
+  // Drop the occurrence lists first, so compacting the watch lists and
+  // collecting the arena reuse the pass's memory instead of raising the
+  // process's peak footprint.
+  decltype(Occ)().swap(Occ);
+  decltype(Cs)().swap(Cs);
+  S.cleanAllWatches(/*ReleaseEmpty=*/true);
+  S.checkGarbage();
 }
 
 bool Simplifier::eliminateOne(Var V, bool Forced) {
@@ -649,7 +662,7 @@ bool Simplifier::eliminateOne(Var V, bool Forced) {
   if (S.Ok) {
     sweepLearnts();
     S.refreshTierGauges();
-    S.checkGarbage();
+    finish();
   }
   return S.ElimVars[V] != 0;
 }

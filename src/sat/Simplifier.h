@@ -48,6 +48,13 @@
 /// 0, run once, discarded. It honours the solver's cooperative interrupt
 /// and resource Budget (a pass aborted mid-way leaves the database in a
 /// consistent state -- every individual rewrite commits atomically).
+/// Clauses it removes are detached lazily (Solver::removeClause); a pass
+/// ends by cleaning every dirty watch list and releasing the lists it left
+/// empty (those of eliminated variables), so a preprocessed base session
+/// that serve mode caches and clones carries no freed watchers and no
+/// dead capacity.
+/// Strengthening is the exception and detaches strictly (see
+/// Solver::detachClause).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,6 +153,9 @@ private:
 
   /// Drops learnt clauses that mention an eliminated variable.
   void sweepLearnts();
+  /// Ends a pass: frees the occurrence lists, cleans the solver's watch
+  /// lists and releases the empty ones, and collects the arena if due.
+  void finish();
 };
 
 } // namespace bugassist

@@ -99,6 +99,8 @@ Var Solver::newVar() {
   Watches.emplace_back(); // negative literal
   BinWatches.emplace_back();
   BinWatches.emplace_back();
+  WatchDirty.push_back(0);
+  WatchDirty.push_back(0);
   heapInsert(V);
   return V;
 }
@@ -248,9 +250,8 @@ void Solver::attachClause(ClauseRef CR) {
   Lists[(~CL[1]).code()].push_back({CR, CL[0]});
 }
 
-void Solver::detachClause(ClauseRef CR) {
+void Solver::detachClause(ClauseRef CR, WatchLists &Lists) {
   const Lit *CL = clauseLits(CR);
-  auto &Lists = clauseSize(CR) == 2 ? BinWatches : Watches;
   for (int I = 0; I < 2; ++I) {
     auto &WL = Lists[(~CL[I]).code()];
     for (size_t J = 0; J < WL.size(); ++J) {
@@ -268,17 +269,7 @@ void Solver::rewatchAsBinary(ClauseRef CR) {
   // the long-clause watches into the binary lists (invariant: size 2 <=>
   // watched in BinWatches). The watched literals themselves are untouched
   // by trimming, so the stale entries are exactly at (~CL[0]) and (~CL[1]).
-  const Lit *CL = clauseLits(CR);
-  for (int I = 0; I < 2; ++I) {
-    auto &WL = Watches[(~CL[I]).code()];
-    for (size_t J = 0; J < WL.size(); ++J) {
-      if (WL[J].CRef == CR) {
-        WL[J] = WL.back();
-        WL.pop_back();
-        break;
-      }
-    }
-  }
+  detachClause(CR, Watches);
   attachClause(CR);
 }
 
@@ -293,10 +284,57 @@ bool Solver::isLocked(ClauseRef CR) const {
 }
 
 void Solver::removeClause(ClauseRef CR) {
-  detachClause(CR);
+  // The watchers sit exactly at (~CL[0]) and (~CL[1]); leave them there
+  // and let the next propagate()/garbageCollect() touching the lists drop
+  // them. Scanning here would make every removal O(list length), and one
+  // elimination pass can remove most clauses of a ~100k-clause formula.
+  const Lit *CL = clauseLits(CR);
+  bool Binary = clauseSize(CR) == 2;
+  smudgeWatches((~CL[0]).code(), Binary);
+  smudgeWatches((~CL[1]).code(), Binary);
   Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
   ArenaWasted += HeaderWords + clauseSize(CR);
-  ++Stats.DeletedClauses;
+  if (clauseLearnt(CR))
+    ++Stats.DeletedLearnts;
+  else
+    ++Stats.ClausesRemoved;
+  // Bound the backlog: a pass that frees most of a large formula would
+  // otherwise hold every freed watcher (and grow lists with resolvents on
+  // top of them) until it ends. One sweep per WatchDirty.size()/8 smudges
+  // keeps the cost amortized O(1) per removal.
+  if (DirtyCodes.size() * 8 > WatchDirty.size())
+    cleanAllWatches(/*ReleaseEmpty=*/false);
+}
+
+void Solver::cleanWatches(int32_t Code) {
+  auto Freed = [&](const Watcher &W) { return clauseFreed(W.CRef); };
+  auto Clean = [&](std::vector<Watcher> &WL) {
+    WL.erase(std::remove_if(WL.begin(), WL.end(), Freed), WL.end());
+  };
+  if (WatchDirty[Code] & DirtyLong)
+    Clean(Watches[Code]);
+  if (WatchDirty[Code] & DirtyBin)
+    Clean(BinWatches[Code]);
+  WatchDirty[Code] = 0;
+}
+
+void Solver::cleanAllWatches(bool ReleaseEmpty) {
+  for (int32_t Code : DirtyCodes)
+    if (WatchDirty[Code])
+      cleanWatches(Code);
+  DirtyCodes.clear();
+  if (!ReleaseEmpty)
+    return;
+  // Elimination empties the lists of every eliminated variable's literals
+  // for good; a preprocessed base session lives as long as the serve
+  // formula cache, so that capacity would be held forever. Lists still in
+  // use keep theirs: shrinking them to fit only makes the search regrow
+  // them, and that reallocation churn raised the peak footprint of the
+  // Table 3 rows.
+  for (auto *Lists : {&Watches, &BinWatches})
+    for (auto &WL : *Lists)
+      if (WL.empty() && WL.capacity() != 0)
+        std::vector<Watcher>().swap(WL);
 }
 
 void Solver::uncheckedEnqueue(Lit L, ClauseRef From) {
@@ -313,6 +351,8 @@ Solver::ClauseRef Solver::propagate() {
   while (PropagationHead < static_cast<int>(Trail.size())) {
     Lit P = Trail[PropagationHead++];
     ++Stats.Propagations;
+    if (WatchDirty[P.code()])
+      cleanWatches(P.code()); // freed watchers must not propagate
 
     // Binary fast path: the Blocker is the whole remaining clause, so each
     // watcher resolves with one value() lookup -- no header load, no
@@ -1064,6 +1104,7 @@ void Solver::forceGarbageCollect() {
 }
 
 void Solver::garbageCollect() {
+  cleanAllWatches(/*ReleaseEmpty=*/false); // freed clauses must not be relocated
   std::vector<Lit> To;
   To.reserve(Arena.size() - ArenaWasted);
 

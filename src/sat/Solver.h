@@ -45,6 +45,16 @@
 /// whole clause (the Blocker is the other literal), so the propagation fast
 /// path over them never touches the arena.
 ///
+/// Clause removal is O(1) amortized (MiniSAT's OccLists smudge/clean):
+/// removeClause marks the clause freed and flags the watch lists of its
+/// two watched literals dirty, without scanning them. Invariant: a freed
+/// clause may still sit in a dirty watch list until the first propagate()
+/// or garbageCollect() that touches the list drops its freed watchers in
+/// one order-preserving pass (or until the dirty backlog grows past an
+/// eighth of all lists and every dirty list is cleaned at once); a clean
+/// list holds live clauses only. Every simplifier pass ends with all lists
+/// clean and the lists it emptied released.
+///
 /// For portfolio solving (maxsat/Portfolio.h) the solver additionally
 /// supports cooperative cancellation -- interrupt() raises an atomic flag
 /// polled once per search-loop iteration -- and glucose-syrup-style learnt
@@ -79,7 +89,9 @@ struct SolverStats {
   uint64_t Restarts = 0;
   uint64_t RestartsBlocked = 0; ///< restarts suppressed by the trail EMA
   uint64_t LearnedClauses = 0;
-  uint64_t DeletedClauses = 0;
+  /// Learnt clauses dropped again: by reduceDB, by the ghost-learnt sweep
+  /// after elimination, or as root-satisfied lemmas.
+  uint64_t DeletedLearnts = 0;
   uint64_t GcRuns = 0;
   uint64_t LbdSum = 0;   ///< sum of learn-time LBDs over all conflicts
   uint64_t LbdCount = 0; ///< conflicts that recorded an LBD (incl. units)
@@ -95,6 +107,11 @@ struct SolverStats {
   uint64_t VarsEliminated = 0;   ///< variables removed by bounded elimination
   uint64_t ClausesSubsumed = 0;  ///< clauses removed by backward subsumption
   uint64_t LitsSelfSubsumed = 0; ///< literals removed by self-subsumption
+  /// Original (problem) clauses removed from the database for any reason:
+  /// root-satisfied, subsumed, or replaced by resolvents during
+  /// elimination. Counted whether or not preprocessing is on, since
+  /// root-level simplification removes satisfied clauses either way.
+  uint64_t ClausesRemoved = 0;
   /// Size of the model-reconstruction stack in bytes (a gauge, like the
   /// tier counts: it only grows while variables stay eliminated).
   uint64_t ReconstructBytes = 0;
@@ -118,7 +135,7 @@ struct SolverStats {
     Restarts += O.Restarts;
     RestartsBlocked += O.RestartsBlocked;
     LearnedClauses += O.LearnedClauses;
-    DeletedClauses += O.DeletedClauses;
+    DeletedLearnts += O.DeletedLearnts;
     GcRuns += O.GcRuns;
     LbdSum += O.LbdSum;
     LbdCount += O.LbdCount;
@@ -131,6 +148,7 @@ struct SolverStats {
     VarsEliminated += O.VarsEliminated;
     ClausesSubsumed += O.ClausesSubsumed;
     LitsSelfSubsumed += O.LitsSelfSubsumed;
+    ClausesRemoved += O.ClausesRemoved;
     ReconstructBytes += O.ReconstructBytes;
     return *this;
   }
@@ -550,6 +568,7 @@ private:
     ClauseRef CRef;
     Lit Blocker;
   };
+  using WatchLists = std::vector<std::vector<Watcher>>; // by Lit code
 
   // --- core CDCL ----------------------------------------------------------
   LBool search();
@@ -572,9 +591,30 @@ private:
 
   ClauseRef allocClause(const std::vector<Lit> &Lits, bool Learnt);
   void attachClause(ClauseRef CR);
-  void detachClause(ClauseRef CR);
+  /// Strict detach: scans the two watch lists of \p CR in \p Lists (the
+  /// family it is watched in) and unlinks it now. Only for clauses that
+  /// stay alive with different literals (strengthening, binary migration):
+  /// a live clause must never keep a watcher whose Blocker it no longer
+  /// contains, or propagate() would skip it as satisfied by a literal that
+  /// is not in it.
+  void detachClause(ClauseRef CR, WatchLists &Lists);
   void rewatchAsBinary(ClauseRef CR);
+  /// Amortized O(1) removal: frees \p CR and smudges its two watch lists;
+  /// the watchers are dropped lazily (see cleanWatches).
   void removeClause(ClauseRef CR);
+  /// Flags one watch list of literal code \p Code dirty: the binary list
+  /// if \p Binary, else the long-clause list.
+  void smudgeWatches(int32_t Code, bool Binary) {
+    if (!WatchDirty[Code])
+      DirtyCodes.push_back(Code);
+    WatchDirty[Code] |= Binary ? DirtyBin : DirtyLong;
+  }
+  /// Drops the freed watchers from the dirty lists of \p Code, keeping
+  /// order.
+  void cleanWatches(int32_t Code);
+  /// Cleans every dirty list; with \p ReleaseEmpty, also frees the
+  /// capacity of every list left empty.
+  void cleanAllWatches(bool ReleaseEmpty);
   void importSharedClauses();
   void addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd);
   /// The binary fast path never normalizes clause literals during
@@ -645,11 +685,21 @@ private:
   std::vector<ClauseRef> CoreLearnts;
   std::vector<ClauseRef> MidLearnts;
   std::vector<ClauseRef> LocalLearnts;
-  std::vector<std::vector<Watcher>> Watches; // indexed by Lit code, size >= 3
+  WatchLists Watches; // indexed by Lit code, size >= 3
   // Binary clauses get their own watch lists: the Watcher's Blocker IS the
   // other literal, so propagation over them never touches the arena (no
   // header load, no literal scan) -- see the fast path in propagate().
-  std::vector<std::vector<Watcher>> BinWatches; // indexed by Lit code
+  WatchLists BinWatches; // indexed by Lit code
+  // Lazy detachment: WatchDirty[code] has DirtyLong set while
+  // Watches[code], and DirtyBin while BinWatches[code], may hold watchers
+  // of freed clauses (two bits, so cleaning after reduceDB, which never
+  // frees binaries, skips the binary lists). DirtyCodes lists the codes
+  // flagged since the last cleanAllWatches (it may hold codes propagate()
+  // has cleaned meanwhile -- the flags are authoritative).
+  static constexpr char DirtyLong = 1;
+  static constexpr char DirtyBin = 2;
+  std::vector<char> WatchDirty; // indexed by Lit code
+  std::vector<int32_t> DirtyCodes;
   std::vector<LBool> Assigns;
   std::vector<int> VarLevel;
   std::vector<ClauseRef> Reason;

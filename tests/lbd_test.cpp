@@ -174,8 +174,52 @@ TEST(Lbd, AggressiveReductionStaysSound) {
   Solver S(O);
   addPigeonhole(S, 7);
   EXPECT_EQ(S.solve(), LBool::False);
-  EXPECT_GT(S.stats().DeletedClauses, 0u);
+  EXPECT_GT(S.stats().DeletedLearnts, 0u);
   EXPECT_GT(S.stats().LearnedClauses, 0u);
+  // The learnt counter counts learnt deletions only (original clauses
+  // removed by simplification are ClausesRemoved), so it can never exceed
+  // the learnts this import-free solver created.
+  EXPECT_LE(S.stats().DeletedLearnts, S.stats().LearnedClauses);
+}
+
+// The satisfiable twin: with the reduction floor at 1, reduceDB fires
+// every few hundred conflicts on planted random 3-SAT instances, and every
+// freed learnt leaves stale watchers behind for propagate() to drop
+// lazily. Every model must satisfy every original clause.
+TEST(Lbd, AggressiveReductionKeepsModelsSound) {
+  const int NumVars = 220;
+  uint64_t Deleted = 0;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    Rng R(Seed);
+    std::vector<bool> Hidden(NumVars);
+    for (int V = 0; V < NumVars; ++V)
+      Hidden[V] = R.chance(1, 2);
+    std::vector<Clause> Cs;
+    while (Cs.size() < 4.2 * NumVars) {
+      Clause C = randomInstance(R, NumVars, 1, 3)[0];
+      bool Planted = false;
+      for (Lit L : C)
+        Planted |= Hidden[L.var()] != L.negated();
+      if (Planted)
+        Cs.push_back(std::move(C));
+    }
+
+    Solver::Options O;
+    O.MaxLearntsBase = 1;
+    Solver S(O);
+    S.ensureVars(NumVars);
+    for (const Clause &C : Cs)
+      ASSERT_TRUE(S.addClause(C));
+    ASSERT_EQ(S.solve(), LBool::True) << "seed " << Seed;
+    Deleted += S.stats().DeletedLearnts;
+    for (size_t I = 0; I < Cs.size(); ++I) {
+      bool Sat = false;
+      for (Lit L : Cs[I])
+        Sat |= S.modelValue(L) == LBool::True;
+      ASSERT_TRUE(Sat) << "seed " << Seed << ": model falsifies clause " << I;
+    }
+  }
+  EXPECT_GT(Deleted, 1000u) << "reduceDB barely ran";
 }
 
 // Relocating arena GC must carry the LBD word: the multiset of live learnt

@@ -92,6 +92,64 @@ std::vector<Clause> randomInstance(Rng &R, int NumVars, int NumClauses,
   return Cs;
 }
 
+/// A satisfiable instance with long watch lists: every clause holds one
+/// literal of a few hub variables, so elimination and subsumption free
+/// many clauses watched from the same handful of lists. The first
+/// NumFrozen variables (the hubs among them) are frozen so clauses over
+/// them may be added after preprocessing.
+struct HubInstance {
+  int NumVars;
+  int NumFrozen;
+  std::vector<Clause> Clauses;
+};
+
+HubInstance hubInstance(Rng &R) {
+  HubInstance I;
+  I.NumVars = 16 + static_cast<int>(R.below(4));
+  I.NumFrozen = 6;
+  const int Hubs = 3;
+  std::vector<bool> Hidden(I.NumVars);
+  for (int V = 0; V < I.NumVars; ++V)
+    Hidden[V] = R.chance(1, 2);
+  while (I.Clauses.size() < 5u * static_cast<size_t>(I.NumVars)) {
+    Clause C = {mkLit(static_cast<Var>(R.below(Hubs)), R.chance(1, 2))};
+    size_t Len = R.chance(1, 4) ? 2 : 3;
+    while (C.size() < Len) {
+      Var V = static_cast<Var>(Hubs + R.below(I.NumVars - Hubs));
+      if (std::none_of(C.begin(), C.end(),
+                       [V](Lit L) { return L.var() == V; }))
+        C.push_back(mkLit(V, R.chance(1, 2)));
+    }
+    // Plant a model so the instance stays satisfiable at this density.
+    if (std::any_of(C.begin(), C.end(), [&](Lit L) {
+          return Hidden[L.var()] != L.negated();
+        }))
+      I.Clauses.push_back(std::move(C));
+  }
+  return I;
+}
+
+/// Loads \p I into \p S with its frozen prefix.
+void loadHubInstance(Solver &S, const HubInstance &I) {
+  S.ensureVars(I.NumVars);
+  for (Var V = 0; V < I.NumFrozen; ++V)
+    S.setFrozen(V, true);
+  for (const Clause &C : I.Clauses)
+    ASSERT_TRUE(S.addClause(C));
+}
+
+/// A clause over the frozen prefix that the current model of \p S
+/// falsifies, so the next solve must move away from it.
+Clause blockingClause(Rng &R, const Solver &S, int NumFrozen) {
+  Clause C;
+  while (C.size() < 3) {
+    Var V = static_cast<Var>(R.below(NumFrozen));
+    if (std::none_of(C.begin(), C.end(), [V](Lit L) { return L.var() == V; }))
+      C.push_back(mkLit(V, S.modelValue(V) == LBool::True));
+  }
+  return C;
+}
+
 } // namespace
 
 // --- hand-checked transformations --------------------------------------------
@@ -203,6 +261,61 @@ TEST(Simplify, RandomDifferentialAgainstBruteForce) {
     ASSERT_EQ(Res == LBool::True, Expected) << "seed " << Seed;
     if (Res == LBool::True) {
       ASSERT_TRUE(modelSatisfies(S, Cs)) << "seed " << Seed;
+    }
+  }
+}
+
+// Long watch lists under lazy detachment: preprocessing frees many
+// clauses watched from the hub lists, then clauses are added and solved in
+// turn. Every answer must match brute force, and every model must satisfy
+// the original clauses plus everything added so far.
+TEST(Simplify, LongWatchListsSurviveInterleavedSolving) {
+  for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
+    Rng R(Seed);
+    HubInstance I = hubInstance(R);
+    Solver S;
+    loadHubInstance(S, I);
+    ASSERT_TRUE(S.preprocess()) << "seed " << Seed;
+    std::vector<Clause> All = I.Clauses;
+    for (int Round = 0; Round < 12; ++Round) {
+      LBool Res = S.solve();
+      ASSERT_EQ(Res == LBool::True, bruteForceSat(I.NumVars, All))
+          << "seed " << Seed << " round " << Round;
+      if (Res != LBool::True)
+        break;
+      ASSERT_TRUE(modelSatisfies(S, All))
+          << "seed " << Seed << " round " << Round;
+      All.push_back(blockingClause(R, S, I.NumFrozen));
+      if (!S.addClause(All.back())) {
+        ASSERT_FALSE(bruteForceSat(I.NumVars, All)) << "seed " << Seed;
+        break;
+      }
+    }
+  }
+}
+
+// A copy taken right after preprocess() (the serve FormulaCache clone
+// path) continues exactly where the original stood: under the same
+// clause additions both give the same answers and the same models.
+TEST(Simplify, CloneAfterPreprocessAnswersLikeTheOriginal) {
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+    Rng R(Seed);
+    HubInstance I = hubInstance(R);
+    Solver S;
+    loadHubInstance(S, I);
+    ASSERT_TRUE(S.preprocess());
+    Solver Copy = S;
+    for (int Round = 0; Round < 8; ++Round) {
+      LBool Res = S.solve();
+      ASSERT_EQ(Copy.solve(), Res) << "seed " << Seed << " round " << Round;
+      if (Res != LBool::True)
+        break;
+      for (Var V = 0; V < I.NumVars; ++V)
+        ASSERT_EQ(Copy.modelValue(V), S.modelValue(V))
+            << "seed " << Seed << " round " << Round << " var " << V;
+      Clause Block = blockingClause(R, S, I.NumFrozen);
+      if (S.addClause(Block) != Copy.addClause(Block))
+        FAIL() << "seed " << Seed << ": addClause disagrees";
     }
   }
 }
