@@ -8,6 +8,7 @@
 
 #include "interp/Interpreter.h"
 #include "lang/AstPrinter.h"
+#include "maxsat/Portfolio.h"
 
 #include <algorithm>
 #include <charconv>
@@ -145,6 +146,23 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
   return Res;
 }
 
+/// Parse + sema, plus the check the unroller assumes: \p Entry exists.
+std::unique_ptr<Program> parseWithEntry(std::string_view Source,
+                                        const std::string &Entry,
+                                        std::string &Error) {
+  DiagEngine Diags;
+  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
+  if (!Prog) {
+    Error = Diags.render();
+    return nullptr;
+  }
+  if (!Prog->findFunction(Entry)) {
+    Error = "no entry function '" + Entry + "'\n";
+    return nullptr;
+  }
+  return Prog;
+}
+
 } // namespace
 
 PipelineResult bugassist::runLocalizePipeline(const Program &Prog,
@@ -155,13 +173,13 @@ PipelineResult bugassist::runLocalizePipeline(const Program &Prog,
 
 PipelineResult bugassist::runLocalizePipeline(std::string_view Source,
                                               const PipelineRequest &R) {
-  DiagEngine Diags;
-  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
+  std::string Error;
+  std::unique_ptr<Program> Prog = parseWithEntry(Source, R.Entry, Error);
   if (!Prog) {
     PipelineResult Res;
     Res.Status = PipelineStatus::CompileError;
     Res.Code = ErrorCode::CompileError;
-    Res.Message = Diags.render();
+    Res.Message = Error;
     return Res;
   }
   return runLocalizePipeline(*Prog, R);
@@ -171,12 +189,9 @@ std::unique_ptr<PreparedProgram>
 bugassist::prepareProgram(std::string_view Source, const std::string &Entry,
                           const UnrollOptions &Unroll,
                           const EncodeOptions &Encode, std::string &Error) {
-  DiagEngine Diags;
-  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
-  if (!Prog) {
-    Error = Diags.render();
+  std::unique_ptr<Program> Prog = parseWithEntry(Source, Entry, Error);
+  if (!Prog)
     return nullptr;
-  }
   auto P = std::make_unique<PreparedProgram>();
   P->Driver =
       std::make_unique<BugAssistDriver>(*Prog, Entry, Unroll, Encode);
@@ -687,5 +702,59 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
     appendJsonString(Out, printProgram(*R.Suggestion.FixedProgram));
   }
   Out += "\n}\n";
+  return Out;
+}
+
+namespace {
+
+void appendModelLine(std::string &Out, const std::vector<LBool> &Model,
+                     int NumVars, bool TrailingZero) {
+  Out += 'v';
+  for (int V = 0; V < NumVars; ++V) {
+    Out += Model[V] == LBool::True ? " " : " -";
+    Out += std::to_string(V + 1);
+  }
+  Out += TrailingZero ? " 0\n" : "\n";
+}
+
+} // namespace
+
+std::string bugassist::renderMaxSatAnswer(const MaxSatResult &R, int NumVars,
+                                          bool Model, bool Comments) {
+  std::string Out;
+  switch (R.Status) {
+  case MaxSatStatus::Optimum:
+    Out = "o " + std::to_string(R.Cost) + "\ns OPTIMUM FOUND\n";
+    if (Model)
+      appendModelLine(Out, R.Model, NumVars, /*TrailingZero=*/false);
+    break;
+  case MaxSatStatus::HardUnsat:
+    Out = "s UNSATISFIABLE\n";
+    break;
+  case MaxSatStatus::Unknown:
+    // Anytime output: the o-line reports the best (timing-dependent)
+    // upper bound witnessed before the budget bit, v its model.
+    if (R.UpperBound == UINT64_MAX)
+      return "s UNKNOWN\n";
+    Out = "o " + std::to_string(R.UpperBound) + "\n";
+    if (Comments && R.LowerBound > 0)
+      Out += "c lower bound " + std::to_string(R.LowerBound) + "\n";
+    Out += "s UNKNOWN\n";
+    if (Model && !R.BestModel.empty())
+      appendModelLine(Out, R.BestModel, NumVars, /*TrailingZero=*/false);
+    break;
+  }
+  return Out;
+}
+
+std::string bugassist::renderSatAnswer(const SatRaceResult &R, int NumVars,
+                                       bool Model, bool Comments) {
+  std::string Out = R.Result == LBool::True    ? "s SATISFIABLE\n"
+                    : R.Result == LBool::False ? "s UNSATISFIABLE\n"
+                                               : "s UNKNOWN\n";
+  if (Comments && R.PerWorker.size() > 1 && R.Winner >= 0)
+    Out += "c winner=worker " + std::to_string(R.Winner) + "\n";
+  if (Model && R.Result == LBool::True)
+    appendModelLine(Out, R.Model, NumVars, /*TrailingZero=*/true);
   return Out;
 }

@@ -40,6 +40,8 @@
 
 namespace bugassist {
 
+struct SatRaceResult;
+
 /// Everything runLocalizePipeline needs besides the program itself.
 struct PipelineRequest {
   std::string Entry = "main";
@@ -173,6 +175,20 @@ RepairPipelineResult runRepairPipeline(const PreparedProgram &P,
 /// only, no wall-clock or solver search statistics). Error statuses
 /// render empty, as with renderLocalizeOutput.
 std::string renderRepairOutput(const RepairPipelineResult &Res, bool Json);
+
+/// The answer lines of a MaxSAT run, MaxSAT-Evaluation style: `o <cost>`
+/// (the optimum, or the best upper bound a budget-stopped run found), the
+/// `s` line, and with \p Model the `v` line over \p NumVars variables.
+/// \p Comments adds the `c lower bound` line a budget-stopped run proved;
+/// `bugassist maxsat` prints it, serve bodies carry no `c` lines.
+std::string renderMaxSatAnswer(const MaxSatResult &R, int NumVars, bool Model,
+                               bool Comments);
+
+/// The answer lines of a SAT race: the `s` line and with \p Model the
+/// `v` line ending in 0. \p Comments adds `c winner=worker N` between
+/// them when more than one worker raced.
+std::string renderSatAnswer(const SatRaceResult &R, int NumVars, bool Model,
+                            bool Comments);
 
 /// The failing subset of a test pool, judged against a golden program
 /// version (Section 6.1: run both, keep inputs where the outputs differ).

@@ -12,6 +12,7 @@
 
 #include "CliTestUtils.h"
 #include "core/Pipeline.h"
+#include "maxsat/Portfolio.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
 
@@ -228,6 +229,66 @@ TEST(BugassistCli, BadBudgetFlagValuesExitOneWithNoOutput) {
     EXPECT_EQ(exitStatus(Exit), 1) << "flags: " << Flags;
     EXPECT_TRUE(Out.empty()) << "partial stdout for flags: " << Flags;
   }
+}
+
+TEST(BugassistCli, OptionValuesAreRangeCheckedLikeServe) {
+  std::string Prog = writeTempFile("int main(int x) {\n"
+                                   "  assert(x != 3);\n"
+                                   "  return x;\n"
+                                   "}\n");
+  // Rejected: a golden beyond int64 (serve's `golden` rejects it too), a
+  // value flag given last, and an entry function the program lacks.
+  for (const std::string &Flags :
+       {std::string("--input 3 --golden 99999999999999999999999"),
+        std::string("--input 3 --golden -99999999999999999999999"),
+        std::string("--threads"), std::string("--entry nosuch")}) {
+    int Exit = 0;
+    std::string Out = runCommand(
+        Cli + " localize " + Prog + " " + Flags + " 2>/dev/null", Exit);
+    EXPECT_EQ(exitStatus(Exit), 1) << "flags: " << Flags;
+    EXPECT_TRUE(Out.empty()) << "partial stdout for flags: " << Flags;
+  }
+  int Exit = 0;
+  std::string Err = runCommand(
+      Cli + " localize " + Prog + " --threads 2>&1 >/dev/null", Exit);
+  EXPECT_EQ(exitStatus(Exit), 1);
+  EXPECT_NE(Err.find("missing value for --threads"), std::string::npos)
+      << Err;
+  std::remove(Prog.c_str());
+
+  // Accepted: the engine serve defaults to, and the serve-wide conflict
+  // ceiling.
+  std::string Out = runCommand(Cli + " maxsat " + Instances +
+                                   "/weighted.wcnf --engine auto"
+                                   " --max-conflicts 18446744073709551615",
+                               Exit);
+  EXPECT_EQ(exitStatus(Exit), 0);
+  EXPECT_NE(Out.find("o 2\ns OPTIMUM FOUND\n"), std::string::npos) << Out;
+}
+
+TEST(DimacsAnswer, CommentLinesAreTheOnlyCliExtra) {
+  // A budget-stopped MaxSAT run with a proven lower bound: the CLI form
+  // carries `c lower bound` between the o and s lines, the serve form is
+  // the same bytes without it.
+  MaxSatResult R;
+  R.Status = MaxSatStatus::Unknown;
+  R.LowerBound = 1;
+  R.UpperBound = 3;
+  R.BestModel = {LBool::True, LBool::False};
+  EXPECT_EQ(renderMaxSatAnswer(R, 2, /*Model=*/true, /*Comments=*/true),
+            "o 3\nc lower bound 1\ns UNKNOWN\nv 1 -2\n");
+  EXPECT_EQ(renderMaxSatAnswer(R, 2, /*Model=*/true, /*Comments=*/false),
+            "o 3\ns UNKNOWN\nv 1 -2\n");
+
+  SatRaceResult S;
+  S.Result = LBool::True;
+  S.Winner = 1;
+  S.PerWorker.resize(2);
+  S.Model = {LBool::False, LBool::True};
+  EXPECT_EQ(renderSatAnswer(S, 2, /*Model=*/true, /*Comments=*/true),
+            "s SATISFIABLE\nc winner=worker 1\nv -1 2 0\n");
+  EXPECT_EQ(renderSatAnswer(S, 2, /*Model=*/true, /*Comments=*/false),
+            "s SATISFIABLE\nv -1 2 0\n");
 }
 
 TEST(BugassistCli, SatBudgetExhaustionExitsTwoWithUnknown) {

@@ -22,6 +22,7 @@
 #include "programs/TcasMutants.h"
 #include "serve/Json.h"
 #include "serve/LocalizeServer.h"
+#include "serve/OptionTable.h"
 #include "serve/OrderedEmitter.h"
 #include "support/FaultInject.h"
 
@@ -30,6 +31,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -922,4 +924,176 @@ TEST(ServeRepair, RequestValidationRejectsBadTestVectors) {
   EXPECT_NE(R.Frames[2].Body.find("repair: line 4: '<' -> '<='"),
             std::string::npos)
       << R.Frames[2].Body;
+}
+
+// --- the option table: one meaning per row on both surfaces -------------------
+
+namespace {
+
+/// An in-range value per row that has both a CLI flag and a serve key,
+/// keyed by the serve key. Boolean rows need none: the flag stands for
+/// the value `true` (Flag) or `false` (NegatedBool).
+const std::map<std::string, std::string> InRangeSample = {
+    {"timeout", "600"},       {"max_conflicts", "100000000"},
+    {"max_memory_mb", "2048"}, {"entry", "main"},
+    {"input", "10"},          {"inputs", "10"},
+    {"golden", "1"},          {"goldens", "1"},
+    {"unwind", "4"},          {"bitwidth", "8"},
+    {"hard_lines", "3"},      {"max_diagnoses", "2"},
+    {"max_candidates", "4"},  {"verify_budget", "100000"},
+    {"engine", "auto"},
+};
+
+bool isBoolKind(const OptionSpec &S) {
+  return S.Kind == OptionKind::Flag || S.Kind == OptionKind::NegatedBool;
+}
+
+/// A value the row's range excludes, or "" when its kind has no range.
+std::string outOfRange(const OptionSpec &S) {
+  switch (S.Kind) {
+  case OptionKind::Integer:
+    if (S.Max == UINT64_MAX)
+      return "18446744073709551616";
+    if (S.Max == uint64_t(INT64_MAX))
+      return "9223372036854775808";
+    return std::to_string(S.Max + 1);
+  case OptionKind::Seconds:
+    return "0";
+  case OptionKind::Input:
+    return "1,[";
+  case OptionKind::HardLines:
+    return "x";
+  case OptionKind::Enum:
+    return "bogus";
+  default:
+    return "";
+  }
+}
+
+/// One option setting, as the CLI arguments and the request member that
+/// spell it.
+struct Setting {
+  std::string Key;
+  std::string Cli;
+  std::string Json;
+};
+
+Setting settingFor(const OptionSpec &S, const std::string &Value) {
+  Setting Out{S.Key, std::string(" ") + S.Flag, ""};
+  std::string Token;
+  if (isBoolKind(S)) {
+    Token = S.Kind == OptionKind::Flag ? "true" : "false";
+  } else {
+    Out.Cli += " '" + Value + "'";
+    bool Numeric =
+        S.Kind == OptionKind::Integer || S.Kind == OptionKind::Seconds;
+    Token = Numeric ? Value : "\"" + jsonEscape(Value) + "\"";
+  }
+  Out.Json = "\"" + std::string(S.Key) + "\":" +
+             (S.Repeated ? "[" + Token + "]" : Token);
+  return Out;
+}
+
+const OptionSpec &rowFor(const std::string &Key, Command C) {
+  for (const OptionSpec &S : optionTable())
+    if (S.Key && Key == S.Key && (S.Json & cmdBit(C)))
+      return S;
+  ADD_FAILURE() << "no row for key " << Key;
+  return optionTable().front();
+}
+
+} // namespace
+
+TEST(OptionTable, EveryRowMeansTheSameOnTheCliAndInServe) {
+  std::string SrcFile = writeTempFile(OffByOneProgram);
+  const std::string Wcnf = Instances + "/weighted.wcnf";
+  const std::string Cnf = Instances + "/mini.cnf";
+  // Each command's subject: its input path, and the settings every case
+  // starts from (a case's own setting replaces the one with its key).
+  struct Subject {
+    Command Cmd;
+    std::string Path;
+    std::vector<std::pair<std::string, std::string>> Base;
+  };
+  const std::vector<Subject> Subjects = {
+      {Command::Localize, SrcFile, {{"input", "10"}, {"golden", "1"}}},
+      {Command::Repair, SrcFile, {{"inputs", "10"}, {"goldens", "1"}}},
+      {Command::MaxSat, Wcnf, {}},
+      {Command::Sat, Cnf, {}},
+  };
+
+  struct Case {
+    const OptionSpec *Row;
+    Command Cmd;
+    bool InRange;
+    std::string CliOut;
+    int CliExit;
+  };
+  std::vector<Case> Cases;
+  std::string Batch;
+  for (const OptionSpec &S : optionTable()) {
+    if (!S.Flag || !S.Key)
+      continue;
+    auto Sample = InRangeSample.find(S.Key);
+    if (!isBoolKind(S) && Sample == InRangeSample.end()) {
+      ADD_FAILURE() << "row '" << S.Key << "' needs an in-range sample";
+      continue;
+    }
+    for (const Subject &Sub : Subjects) {
+      if (!(S.Cli & S.Json & cmdBit(Sub.Cmd)))
+        continue;
+      for (bool InRange : {true, false}) {
+        std::string Value =
+            InRange ? (isBoolKind(S) ? "" : Sample->second) : outOfRange(S);
+        if (!InRange && Value.empty())
+          continue;
+        std::string Args = Cli + " " + commandName(Sub.Cmd) + " " + Sub.Path;
+        std::string Json = std::string("{\"cmd\":\"") +
+                           commandName(Sub.Cmd) + "\",\"file\":\"" +
+                           jsonEscape(Sub.Path) + "\"";
+        std::vector<Setting> Settings;
+        for (const auto &[Key, V] : Sub.Base)
+          if (Key != S.Key)
+            Settings.push_back(settingFor(rowFor(Key, Sub.Cmd), V));
+        Settings.push_back(settingFor(S, Value));
+        for (const Setting &St : Settings) {
+          Args += St.Cli;
+          Json += "," + St.Json;
+        }
+        Case C{&S, Sub.Cmd, InRange, "", 0};
+        int Raw = 0;
+        C.CliOut = runCommand(Args + " 2>/dev/null", Raw);
+        C.CliExit = exitStatus(Raw);
+        Cases.push_back(C);
+        Batch += Json + "}\n";
+      }
+    }
+  }
+
+  // Every row on both surfaces, on each of its commands, in and out of
+  // range: far more cases than a table this size could produce by mistake.
+  EXPECT_GT(Cases.size(), 60u);
+  LibRun R = runServe(Batch, /*Threads=*/1);
+  ASSERT_EQ(R.Frames.size(), Cases.size());
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    const Case &C = Cases[I];
+    const Frame &F = R.Frames[I];
+    std::string What = std::string(C.Row->Flag) + " / " + C.Row->Key +
+                       " on " + commandName(C.Cmd) +
+                       (C.InRange ? " (in range)" : " (out of range)");
+    if (!C.InRange) {
+      EXPECT_EQ(C.CliExit, 1) << What;
+      EXPECT_TRUE(C.CliOut.empty()) << What;
+      EXPECT_EQ(F.Status, "error") << What;
+      EXPECT_EQ(F.Code, "bad-request") << What;
+      continue;
+    }
+    EXPECT_EQ(F.Status, "ok") << What << ": " << F.ErrorField;
+    EXPECT_FALSE(F.Body.empty()) << What;
+    EXPECT_EQ(C.CliExit, F.Exit) << What;
+    bool Dimacs = C.Cmd == Command::MaxSat || C.Cmd == Command::Sat;
+    EXPECT_EQ(Dimacs ? stripCommentLines(C.CliOut) : C.CliOut, F.Body)
+        << What;
+  }
+  std::remove(SrcFile.c_str());
 }
