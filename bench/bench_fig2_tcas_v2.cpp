@@ -36,8 +36,10 @@ int main() {
     return 1;
   }
 
+  std::vector<InputVector> Pool = tcasTestPool(1600);
   FailingTests Failing = segregateFailingTests(
-      *Golden, *Faulty, tcasTestPool(1600), "main", tcasExecOptions());
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty, Pool,
+      "main", tcasExecOptions());
   std::printf("failing tests: %zu (the paper's v2 had 69)\n",
               Failing.Inputs.size());
   if (Failing.Inputs.empty())

@@ -45,7 +45,7 @@ int main() {
     return 1;
 
   T.reset();
-  LocalizationReport R = Driver.localize(*Cex, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), *Cex, Spec{});
   double LocTime = T.seconds();
   std::printf("localization: %.3fs, %llu SAT calls\n", LocTime,
               static_cast<unsigned long long>(R.SatCalls));

@@ -13,53 +13,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "core/Pipeline.h"
 #include "core/Repair.h"
 #include "programs/SmallDemos.h"
-#include "serve/Json.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace bugassist;
 
 namespace {
-
-/// Re-serializes a parsed JSON tree compactly. Numbers keep their raw
-/// token (Json.h preserves it), so merged entries round-trip exactly.
-std::string renderJson(const JsonValue &V) {
-  switch (V.K) {
-  case JsonValue::Kind::Null:
-    return "null";
-  case JsonValue::Kind::Bool:
-    return V.BoolVal ? "true" : "false";
-  case JsonValue::Kind::Number:
-    return V.Text;
-  case JsonValue::Kind::String:
-    return "\"" + jsonEscape(V.Text) + "\"";
-  case JsonValue::Kind::Array: {
-    std::string Out = "[";
-    for (size_t I = 0; I < V.Elements.size(); ++I)
-      Out += (I ? ", " : "") + renderJson(V.Elements[I]);
-    return Out + "]";
-  }
-  case JsonValue::Kind::Object: {
-    std::string Out = "{";
-    for (size_t I = 0; I < V.Members.size(); ++I)
-      Out += std::string(I ? ", " : "") + "\"" +
-             jsonEscape(V.Members[I].first) +
-             "\": " + renderJson(V.Members[I].second);
-    return Out + "}";
-  }
-  }
-  return "null";
-}
 
 /// One twin's workload entry: the wall time plus the Algorithm 2
 /// candidate-validation funnel.
@@ -85,55 +53,6 @@ std::string workloadEntry(const char *Name, double WallSeconds,
       static_cast<unsigned long long>(R.Stats.BmcRejected),
       static_cast<unsigned long long>(R.Stats.FormulaBuilds));
   return Buf;
-}
-
-/// Read-merge-write: keeps every existing workload except prior
-/// repair_offbyone_* entries, appends the fresh twins, leaves the other
-/// top-level keys (bench name, hardware_concurrency) untouched.
-void mergeIntoJson(const char *Path, const std::vector<std::string> &Fresh) {
-  std::string HeadKeys;
-  std::vector<std::string> Kept;
-  std::ifstream In(Path);
-  if (In) {
-    std::stringstream SS;
-    SS << In.rdbuf();
-    std::string Error;
-    auto Root = parseJson(SS.str(), Error);
-    if (Root && Root->isObject()) {
-      for (const auto &KV : Root->Members) {
-        if (KV.first == "workloads") {
-          for (const JsonValue &W : KV.second.Elements) {
-            const JsonValue *Name = W.find("name");
-            if (Name &&
-                Name->Text.rfind("repair_offbyone", 0) == 0)
-              continue; // replaced by this run
-            Kept.push_back(renderJson(W));
-          }
-          continue;
-        }
-        HeadKeys += "  \"" + jsonEscape(KV.first) +
-                    "\": " + renderJson(KV.second) + ",\n";
-      }
-    }
-  }
-  if (HeadKeys.empty())
-    HeadKeys = "  \"bench\": \"bench_repair_offbyone\",\n";
-
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::printf("cannot open %s\n", Path);
-    return;
-  }
-  std::fprintf(F, "{\n%s  \"workloads\": [\n", HeadKeys.c_str());
-  for (size_t I = 0; I < Kept.size(); ++I)
-    std::fprintf(F, "    %s,\n", Kept[I].c_str());
-  for (size_t I = 0; I < Fresh.size(); ++I)
-    std::fprintf(F, "    %s%s\n", Fresh[I].c_str(),
-                 I + 1 < Fresh.size() ? "," : "");
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("merged %zu workload(s) into %s (%zu kept)\n", Fresh.size(),
-              Path, Kept.size());
 }
 
 } // namespace
@@ -234,11 +153,17 @@ int main(int argc, char **argv) {
   if (!Agree)
     std::printf("TWIN MISMATCH: pooled and rebuild disagree\n");
 
-  mergeIntoJson(JsonPath,
-                {workloadEntry("repair_offbyone_pooled", PooledWall,
-                               Pooled.Repair),
-                 workloadEntry("repair_offbyone_rebuild", RebuildWall,
-                               Rebuild)});
+  // The twins replace only their own entries; the solver workloads stay.
+  if (!mergeBenchJson(JsonPath, {},
+                      {workloadEntry("repair_offbyone_pooled", PooledWall,
+                                     Pooled.Repair),
+                       workloadEntry("repair_offbyone_rebuild", RebuildWall,
+                                     Rebuild)},
+                      /*RepairOwner=*/true, Error)) {
+    std::printf("bench JSON not written: %s\n", Error.c_str());
+    return 1;
+  }
+  std::printf("merged the repair twins into %s\n", JsonPath);
 
   return Pooled.Repair.Found && CallSite && Agree ? 0 : 1;
 }

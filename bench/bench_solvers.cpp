@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchArgs.h"
+#include "BenchJson.h"
 #include "cnf/DimacsReader.h"
 #include "core/BugAssist.h"
 #include "core/Pipeline.h"
@@ -352,20 +353,13 @@ void benchWcnfSweep(const std::string &Dir, size_t Threads) {
           bool AnyWeight = false;
           MaxSatInstance Inst = toMaxSatInstance(*Parsed, &AnyWeight);
           Timer T;
-          MaxSatResult R;
-          if (Threads > 1) {
+          auto Session = makeMaxSatSession(Inst, AnyWeight, Threads,
+                                           /*ConflictBudget=*/0, Opts);
+          MaxSatResult R = Session->solve();
+          if (auto *P = dynamic_cast<PortfolioSession *>(Session.get())) {
             Out.Workers = Threads;
-            auto Session = makePortfolioSession(Inst, AnyWeight, Threads,
-                                                /*ConflictBudget=*/0, Opts);
-            R = Session->solve();
-            const PortfolioStats &PS = Session->portfolioStats();
-            Out.Wins = PS.WinsByWorker;
-            Out.Winner = PS.LastWinner;
-          } else {
-            auto Session = makeMaxSatSession(Inst, AnyWeight,
-                                             /*ConflictBudget=*/0, Opts,
-                                             /*Canonical=*/true);
-            R = Session->solve();
+            Out.Wins = P->portfolioStats().WinsByWorker;
+            Out.Winner = P->portfolioStats().LastWinner;
           }
           Out.WallSeconds = T.seconds();
           Out.SatCalls = R.SatCalls;
@@ -490,7 +484,8 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
       LocalizeOptions LO;
       LO.MaxDiagnoses = MaxDiagnoses;
       Timer T1;
-      LocalizationReport Rep = Driver.localize(Failing.Inputs[Idx], S, LO);
+      LocalizationReport Rep =
+          localizeFault(Driver.formula(), Failing.Inputs[Idx], S, LO);
       Inc.WallSeconds += T1.seconds();
       Inc.SatCalls += Rep.SatCalls;
       Inc.addSearch(Rep.Search);
@@ -500,7 +495,8 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
         LocalizeOptions PLO = LO;
         PLO.Threads = Threads;
         Timer TP;
-        LocalizationReport PRep = Driver.localize(Failing.Inputs[Idx], S, PLO);
+        LocalizationReport PRep =
+            localizeFault(Driver.formula(), Failing.Inputs[Idx], S, PLO);
         Pf.WallSeconds += TP.seconds();
         Pf.SatCalls += PRep.SatCalls;
         Pf.addSearch(PRep.Search);
@@ -559,60 +555,41 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
               WallLbd > 0 ? WallSeed / WallLbd : 0.0);
 }
 
-void writeJson(const char *Path) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::printf("cannot open %s\n", Path);
-    return;
+/// One workload as a bench JSON object.
+std::string renderWorkload(const WorkloadResult &W, unsigned Cores) {
+  auto Num = [](uint64_t V) { return std::to_string(V); };
+  char Buf[64];
+  std::string Out = "{\"name\": " + jsonString(W.Name);
+  std::snprintf(Buf, sizeof(Buf), "%.6f", W.WallSeconds);
+  Out += std::string(", \"wall_s\": ") + Buf;
+  Out += ", \"conflicts\": " + Num(W.Conflicts) +
+         ", \"propagations\": " + Num(W.Propagations) +
+         ", \"sat_calls\": " + Num(W.SatCalls) +
+         ", \"restarts\": " + Num(W.Restarts) +
+         ", \"restarts_blocked\": " + Num(W.RestartsBlocked);
+  std::snprintf(Buf, sizeof(Buf), "%.3f", W.avgLbd());
+  Out += std::string(", \"avg_lbd\": ") + Buf;
+  Out += ", \"vars_eliminated\": " + Num(W.VarsEliminated) +
+         ", \"clauses_subsumed\": " + Num(W.ClausesSubsumed);
+  if (W.ExtraKey)
+    Out += ", " + jsonString(W.ExtraKey) + ": " + Num(W.Extra);
+  if (W.Workers)
+    // Wall times of a race wider than the machine measure scheduler
+    // time-slicing, not parallel speedup; tag them so the perf tracker
+    // compares like with like.
+    Out += ", \"workers\": " + Num(W.Workers) + ", \"serialized\": " +
+           (Cores && W.Workers > Cores ? "true" : "false");
+  if (!W.Wins.empty()) {
+    Out += ", \"shared_exported\": " + Num(W.Exported) +
+           ", \"shared_imported\": " + Num(W.Imported);
+    if (W.Winner >= 0)
+      Out += ", \"last_winner\": " + std::to_string(W.Winner);
+    Out += ", \"wins\": [";
+    for (size_t J = 0; J < W.Wins.size(); ++J)
+      Out += (J ? ", " : "") + Num(W.Wins[J]);
+    Out += "]";
   }
-  unsigned Cores = std::thread::hardware_concurrency();
-  std::fprintf(F,
-               "{\n  \"bench\": \"bench_solvers\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"workloads\": [\n",
-               Cores);
-  for (size_t I = 0; I < Results.size(); ++I) {
-    const WorkloadResult &W = Results[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"wall_s\": %.6f, "
-                 "\"conflicts\": %llu, \"propagations\": %llu, "
-                 "\"sat_calls\": %llu, \"restarts\": %llu, "
-                 "\"restarts_blocked\": %llu, \"avg_lbd\": %.3f, "
-                 "\"vars_eliminated\": %llu, \"clauses_subsumed\": %llu",
-                 W.Name.c_str(), W.WallSeconds,
-                 static_cast<unsigned long long>(W.Conflicts),
-                 static_cast<unsigned long long>(W.Propagations),
-                 static_cast<unsigned long long>(W.SatCalls),
-                 static_cast<unsigned long long>(W.Restarts),
-                 static_cast<unsigned long long>(W.RestartsBlocked),
-                 W.avgLbd(),
-                 static_cast<unsigned long long>(W.VarsEliminated),
-                 static_cast<unsigned long long>(W.ClausesSubsumed));
-    if (W.ExtraKey)
-      std::fprintf(F, ", \"%s\": %llu", W.ExtraKey,
-                   static_cast<unsigned long long>(W.Extra));
-    if (W.Workers)
-      // Wall times of a race wider than the machine measure scheduler
-      // time-slicing, not parallel speedup; tag them so the perf tracker
-      // compares like with like.
-      std::fprintf(F, ", \"workers\": %zu, \"serialized\": %s", W.Workers,
-                   Cores && W.Workers > Cores ? "true" : "false");
-    if (!W.Wins.empty()) {
-      std::fprintf(F, ", \"shared_exported\": %llu, \"shared_imported\": %llu",
-                   static_cast<unsigned long long>(W.Exported),
-                   static_cast<unsigned long long>(W.Imported));
-      if (W.Winner >= 0)
-        std::fprintf(F, ", \"last_winner\": %d", W.Winner);
-      std::fprintf(F, ", \"wins\": [");
-      for (size_t J = 0; J < W.Wins.size(); ++J)
-        std::fprintf(F, "%s%llu", J ? ", " : "",
-                     static_cast<unsigned long long>(W.Wins[J]));
-      std::fprintf(F, "]");
-    }
-    std::fprintf(F, "}%s\n", I + 1 < Results.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", Path);
+  return Out + "}";
 }
 
 } // namespace
@@ -679,6 +656,19 @@ int main(int argc, char **argv) {
   if (WcnfDir)
     benchWcnfSweep(WcnfDir, Threads);
 
-  writeJson(JsonPath);
+  // Replaces this bench's workloads only; the repair twins stay.
+  unsigned Cores = std::thread::hardware_concurrency();
+  std::vector<std::string> Entries;
+  for (const WorkloadResult &W : Results)
+    Entries.push_back(renderWorkload(W, Cores));
+  std::string Error;
+  if (!mergeBenchJson(JsonPath,
+                      {{"bench", jsonString("bench_solvers")},
+                       {"hardware_concurrency", std::to_string(Cores)}},
+                      Entries, /*RepairOwner=*/false, Error)) {
+    std::printf("bench JSON not written: %s\n", Error.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", JsonPath);
   return 0;
 }

@@ -124,7 +124,8 @@ int main(int argc, char **argv) {
       S.CheckObligations = false;
       S.GoldenReturn = Failing.Goldens[R];
       Timer T;
-      LocalizationReport Rep = Driver.localize(Failing.Inputs[R], S, LO);
+      LocalizationReport Rep =
+          localizeFault(Driver.formula(), Failing.Inputs[R], S, LO);
       TotalTime += T.seconds();
       TotalSuspects += static_cast<double>(Rep.AllLines.size());
       bool Hit = false;

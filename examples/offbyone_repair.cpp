@@ -52,7 +52,7 @@ int main() {
   std::printf("\n");
 
   // Localize with library constraints hard (Section 6.3).
-  LocalizationReport R = Driver.localize(*Cex, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), *Cex, Spec{});
   std::printf("suspect lines:");
   for (uint32_t L : R.AllLines)
     std::printf(" %u", L);

@@ -45,7 +45,7 @@ int main() {
               static_cast<long long>((*Failing)[0].Scalar));
 
   // Step 2 (Algorithm 1): enumerate minimal sets of suspect lines.
-  LocalizationReport Report = Driver.localize(*Failing, Spec{});
+  LocalizationReport Report = localizeFault(Driver.formula(), *Failing, Spec{});
   std::printf("\n=== Suspects (CoMSS enumeration) ===\n");
   for (size_t I = 0; I < Report.Diagnoses.size(); ++I) {
     const Diagnosis &D = Report.Diagnoses[I];

@@ -46,8 +46,10 @@ int main(int argc, char **argv) {
   }
 
   // Golden outputs + failing-test segregation (Section 6.1 methodology).
+  std::vector<InputVector> Pool = tcasTestPool(1600);
   FailingTests Failing = segregateFailingTests(
-      *Golden, *Faulty, tcasTestPool(1600), "main", tcasExecOptions());
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty, Pool,
+      "main", tcasExecOptions());
   std::printf("failing tests: %zu of %zu\n", Failing.Inputs.size(),
               Failing.PoolSize);
   if (Failing.Inputs.empty()) {

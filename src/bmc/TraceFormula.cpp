@@ -143,9 +143,9 @@ TraceFormula::evaluateTest(const InputVector &Test,
 
 std::optional<InputVector>
 TraceFormula::findCounterexample(const Spec &S, bool &Decided,
-                                 uint64_t ConflictBudget) const {
-  Decided = false;
-  Solver Solve;
+                                 Solver &Solve) const {
+  // A root-level contradiction while loading decides "no violation".
+  Decided = true;
   if (!Solve.addFormula(EP.Formula))
     return std::nullopt;
 
@@ -166,22 +166,12 @@ TraceFormula::findCounterexample(const Spec &S, bool &Decided,
       NotSpec.push_back(BitSet ? ~EP.RetWord[B] : EP.RetWord[B]);
     }
   }
-  if (NotSpec.empty()) {
-    Decided = true; // empty spec cannot be violated
-    return std::nullopt;
-  }
-  if (!Solve.addClause(NotSpec)) {
-    Decided = true;
-    return std::nullopt;
-  }
+  if (NotSpec.empty() || !Solve.addClause(NotSpec))
+    return std::nullopt; // an empty spec cannot be violated
 
-  if (ConflictBudget)
-    Solve.setConflictBudget(ConflictBudget);
   LBool R = Solve.solve();
-  if (R == LBool::Undef)
-    return std::nullopt;
-  Decided = true;
-  if (R == LBool::False)
+  Decided = R != LBool::Undef;
+  if (R != LBool::True)
     return std::nullopt;
 
   // Read the failing input back from the model.

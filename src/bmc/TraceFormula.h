@@ -64,12 +64,14 @@ public:
   std::vector<Clause> testClauses(const InputVector &Test, const Spec &S) const;
 
   /// Searches for an input violating \p S with every statement enabled
-  /// (bounded model checking; Section 4.1). \returns the counterexample
-  /// input, std::nullopt if none exists within the encoding bounds, and
-  /// leaves \p Decided false when the conflict budget ran out.
-  std::optional<InputVector> findCounterexample(const Spec &S,
-                                                bool &Decided,
-                                                uint64_t ConflictBudget = 0) const;
+  /// (bounded model checking; Section 4.1) on \p Solve, which must be
+  /// empty. Install a budget on it, or hand it to a thread that may
+  /// interrupt it, before the call. \returns the counterexample input,
+  /// std::nullopt if none exists within the encoding bounds or the search
+  /// stopped early; \p Decided tells the two apart (false = stopped by a
+  /// budget or an interrupt).
+  std::optional<InputVector> findCounterexample(const Spec &S, bool &Decided,
+                                                Solver &Solve) const;
 
   /// \returns the source line of clause group \p G.
   uint32_t lineOfGroup(GroupId G) const { return EP.Formula.group(G).Line; }

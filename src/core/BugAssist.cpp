@@ -16,9 +16,12 @@
 
 using namespace bugassist;
 
-LocalizationReport bugassist::enumerateCoMSSesOn(MaxSatSession &Session,
-                                                 const CnfFormula &F,
-                                                 const LocalizeOptions &Opts) {
+LocalizationReport bugassist::enumerateCoMSSes(MaxSatSession &Session,
+                                               const CnfFormula &F,
+                                               const LocalizeOptions &Opts) {
+  // Algorithm 1, lines 7-14, on ONE incremental MaxSAT session: the solver
+  // (hard formula, learned clauses, heuristic state) persists across
+  // diagnoses, and each blocking clause beta is added incrementally.
   LocalizationReport Report;
   std::set<uint32_t> AllLines;
 
@@ -88,37 +91,7 @@ LocalizationReport bugassist::enumerateCoMSSesOn(MaxSatSession &Session,
   }
 
   Report.AllLines.assign(AllLines.begin(), AllLines.end());
-  return Report;
-}
-
-LocalizationReport bugassist::enumerateCoMSSes(MaxSatInstance Inst,
-                                               const CnfFormula &F,
-                                               const LocalizeOptions &Opts) {
-  assert(Inst.Soft.size() == F.numGroups() &&
-         "soft clauses must mirror clause groups");
-
-  // Algorithm 1, lines 7-14, on ONE incremental MaxSAT session: the solver
-  // (hard formula, learned clauses, heuristic state) persists across
-  // diagnoses, and each blocking clause beta is added incrementally. With
-  // Threads > 1 the session is a portfolio of diversified persistent
-  // workers racing each solve. Either way the sessions canonicalize their
-  // optima, so the enumeration is deterministic and identical at every
-  // thread count.
-  std::unique_ptr<MaxSatSession> Session;
-  PortfolioSession *Portfolio = nullptr;
-  Solver::Options SOpts;
-  SOpts.Preprocess = Opts.Preprocess;
-  if (Opts.Threads > 1) {
-    auto P = makePortfolioSession(Inst, Opts.Weighted, Opts.Threads,
-                                  Opts.ConflictBudget, SOpts);
-    Portfolio = P.get();
-    Session = std::move(P);
-  } else {
-    Session = makeMaxSatSession(Inst, Opts.Weighted, Opts.ConflictBudget,
-                                SOpts, /*Canonical=*/true);
-  }
-  LocalizationReport Report = enumerateCoMSSesOn(*Session, F, Opts);
-  if (Portfolio)
+  if (auto *Portfolio = dynamic_cast<PortfolioSession *>(&Session))
     Report.PortfolioWins = Portfolio->portfolioStats().WinsByWorker;
   return Report;
 }
@@ -129,21 +102,14 @@ LocalizationReport bugassist::localizeFault(const TraceFormula &TF,
                                             const LocalizeOptions &Opts) {
   // Phi_H, Phi_S (Algorithm 1, lines 5-6). Soft clause i is the unit
   // selector of clause group i, so CoMSS indexes map straight to groups.
-  return enumerateCoMSSes(TF.localizationInstance(FailingTest, S),
-                          TF.encoded().Formula, Opts);
-}
-
-LocalizationReport bugassist::localizeFault(MaxSatSession &Session,
-                                            const TraceFormula &TF,
-                                            const InputVector &FailingTest,
-                                            const Spec &S,
-                                            const LocalizeOptions &Opts) {
-  // Complete a sharedInstance() session into the per-test instance: the
-  // bindings and spec units range over original variables only, so the
-  // session's guard numbering matches the fresh-session path exactly.
-  for (const Clause &C : TF.testClauses(FailingTest, S))
-    Session.addHardClause(C);
-  return enumerateCoMSSesOn(Session, TF.encoded().Formula, Opts);
+  MaxSatInstance Inst = TF.localizationInstance(FailingTest, S);
+  assert(Inst.Soft.size() == TF.encoded().Formula.numGroups() &&
+         "soft clauses must mirror clause groups");
+  Solver::Options SOpts;
+  SOpts.Preprocess = Opts.Preprocess;
+  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+      Inst, Opts.Weighted, Opts.Threads, Opts.ConflictBudget, SOpts);
+  return enumerateCoMSSes(*Session, TF.encoded().Formula, Opts);
 }
 
 bool bugassist::isValidCorrection(const TraceFormula &TF,
@@ -173,18 +139,12 @@ bool bugassist::isValidCorrection(const TraceFormula &TF,
 
 BugAssistDriver::BugAssistDriver(const Program &Prog, std::string Entry,
                                  UnrollOptions UOpts, EncodeOptions EOpts)
-    : UP(unrollProgram(Prog, Entry, UOpts)),
-      TF((EOpts.BitWidth = UOpts.BitWidth, encodeProgram(UP, EOpts))) {}
+    : TF((EOpts.BitWidth = UOpts.BitWidth,
+          encodeProgram(unrollProgram(Prog, Entry, UOpts), EOpts))) {}
 
 std::optional<InputVector>
-BugAssistDriver::findCounterexample(const Spec &S,
-                                    uint64_t ConflictBudget) const {
+BugAssistDriver::findCounterexample(const Spec &S) const {
+  Solver Solve;
   bool Decided = false;
-  return TF.findCounterexample(S, Decided, ConflictBudget);
-}
-
-LocalizationReport BugAssistDriver::localize(const InputVector &FailingTest,
-                                             const Spec &S,
-                                             const LocalizeOptions &Opts) const {
-  return localizeFault(TF, FailingTest, S, Opts);
+  return TF.findCounterexample(S, Decided, Solve);
 }

@@ -14,7 +14,8 @@
 /// \code
 ///   BugAssistDriver Driver(Prog, "main");
 ///   auto Failing = Driver.findCounterexample(Spec{});      // Section 4.1
-///   auto Report = Driver.localize(*Failing, Spec{});       // Algorithm 1
+///   auto Report = localizeFault(Driver.formula(), *Failing, Spec{});
+///                                                          // Algorithm 1
 ///   for (const Diagnosis &D : Report.Diagnoses)
 ///     ... D.Lines ...
 /// \endcode
@@ -125,37 +126,26 @@ struct LocalizeOptions {
   QueryBudget Budget;
 };
 
-/// Algorithm 1's enumeration loop on a prebuilt instance whose soft
-/// clauses mirror \p F's clause groups (soft index == group id).
-LocalizationReport enumerateCoMSSes(MaxSatInstance Inst, const CnfFormula &F,
+/// Algorithm 1's enumeration loop on a session whose soft clauses mirror
+/// \p F's clause groups (soft index == group id): enumerates CoMSSes,
+/// blocking each one with a hard clause (lambda_1 \/ ... \/ lambda_k).
+/// Installs Opts' query-wide budget first; the session's own engine,
+/// width and per-call budget apply (Opts.Threads/Weighted/ConflictBudget
+/// only matter where the session is built). Sessions canonicalize their
+/// optima, so the report depends only on the formula, never on which
+/// session produced it. Fills PortfolioWins when \p Session is a
+/// PortfolioSession. The session is consumed (blocking clauses
+/// accumulate).
+LocalizationReport enumerateCoMSSes(MaxSatSession &Session,
+                                    const CnfFormula &F,
                                     const LocalizeOptions &Opts = {});
 
-/// Algorithm 1's enumeration loop on an *existing* session whose soft
-/// clauses mirror \p F's clause groups. The serve-mode seam: the caller
-/// builds (or clones) the session once and this runs the blocking loop on
-/// it, installing Opts' query-wide budget first. Opts.Threads is ignored
-/// -- the session's own parallelism (if any) applies. Sessions
-/// canonicalize their optima, so the report depends only on the formula,
-/// never on which session produced it.
-LocalizationReport enumerateCoMSSesOn(MaxSatSession &Session,
-                                      const CnfFormula &F,
-                                      const LocalizeOptions &Opts = {});
-
-/// Algorithm 1 on a prebuilt trace formula: enumerates CoMSSes of
-/// (Phi_H, Phi_S), blocking each one with a hard clause (lambda_1 \/ ... \/
-/// lambda_k) and removing its selectors from the soft set.
+/// Algorithm 1 on a prebuilt trace formula: builds the (Phi_H, Phi_S)
+/// session for \p FailingTest through makeMaxSatSession (engine, width,
+/// per-call budget and preprocessing from \p Opts) and enumerates on it.
 LocalizationReport localizeFault(const TraceFormula &TF,
                                  const InputVector &FailingTest,
                                  const Spec &S,
-                                 const LocalizeOptions &Opts = {});
-
-/// localizeFault on a prebuilt session over TF.sharedInstance() -- e.g. a
-/// clone() of a never-solved base session in serve mode. Completes the
-/// instance by adding TF.testClauses(FailingTest, S) as hard clauses, then
-/// enumerates. The session is consumed (blocking clauses accumulate); do
-/// not reuse it for another test.
-LocalizationReport localizeFault(MaxSatSession &Session, const TraceFormula &TF,
-                                 const InputVector &FailingTest, const Spec &S,
                                  const LocalizeOptions &Opts = {});
 
 /// Decision procedure behind the paper's definition of a fix location:
@@ -168,29 +158,24 @@ bool isValidCorrection(const TraceFormula &TF, const InputVector &FailingTest,
                        const Spec &S, const std::vector<uint32_t> &Lines,
                        uint64_t ConflictBudget = 0);
 
-/// End-to-end driver owning the unroll + encode pipeline for one program.
+/// Unroll + encode for one program: the trace formula every localization
+/// entry point runs on.
 class BugAssistDriver {
 public:
-  /// \p Prog must have passed Sema and outlive the driver.
+  /// \p Prog must have passed Sema; it is only read during construction.
   BugAssistDriver(const Program &Prog, std::string Entry,
                   UnrollOptions UOpts = {}, EncodeOptions EOpts = {});
 
   const TraceFormula &formula() const { return TF; }
-  const UnrolledProgram &unrolled() const { return UP; }
 
-  /// Bounded model checking for a failing input (Section 4.1). \returns
-  /// std::nullopt when no violation exists within bounds (or on budget).
-  /// Const (the solve runs on a throwaway solver), so a shared driver can
-  /// serve concurrent queries.
-  std::optional<InputVector> findCounterexample(const Spec &S,
-                                                uint64_t ConflictBudget = 0) const;
-
-  /// Algorithm 1 for one failing test.
-  LocalizationReport localize(const InputVector &FailingTest, const Spec &S,
-                              const LocalizeOptions &Opts = {}) const;
+  /// Bounded model checking for a failing input (Section 4.1), unbudgeted
+  /// on a throwaway solver. \returns std::nullopt when no violation exists
+  /// within bounds. Const, so a shared driver can serve concurrent
+  /// queries. The pipeline runs the budgeted, interruptible form,
+  /// TraceFormula::findCounterexample.
+  std::optional<InputVector> findCounterexample(const Spec &S) const;
 
 private:
-  UnrolledProgram UP;
   TraceFormula TF;
 };
 

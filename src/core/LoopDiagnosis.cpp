@@ -6,8 +6,6 @@
 
 #include "core/LoopDiagnosis.h"
 
-#include "bmc/Encoder.h"
-
 using namespace bugassist;
 
 LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
@@ -15,13 +13,11 @@ LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
                                                  const InputVector &FailingTest,
                                                  const Spec &S,
                                                  LoopDiagnosisOptions Opts) {
-  UnrolledProgram UP = unrollProgram(Prog, Entry, Opts.Unroll);
-
   EncodeOptions EO;
-  EO.BitWidth = Opts.Unroll.BitWidth;
   EO.PerIterationGroups = true;
   EO.BaseWeight = Opts.BaseWeight;
-  TraceFormula TF(encodeProgram(UP, EO));
+  BugAssistDriver Driver(Prog, Entry, Opts.Unroll, EO);
+  const TraceFormula &TF = Driver.formula();
 
   LoopDiagnosisResult Result;
   LocalizeOptions LO = Opts.Localize;
@@ -35,8 +31,11 @@ LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
       if (G.Unwinding == 0)
         Inst.Hard.push_back({mkLit(G.Selector)});
   }
-  Result.Report = enumerateCoMSSes(std::move(Inst),
-                                   TF.encoded().Formula, LO);
+  Solver::Options SOpts;
+  SOpts.Preprocess = LO.Preprocess;
+  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+      Inst, LO.Weighted, LO.Threads, LO.ConflictBudget, SOpts);
+  Result.Report = enumerateCoMSSes(*Session, TF.encoded().Formula, LO);
 
   for (size_t D = 0; D < Result.Report.Diagnoses.size(); ++D) {
     const Diagnosis &Diag = Result.Report.Diagnoses[D];

@@ -9,9 +9,11 @@
 #include "interp/Interpreter.h"
 #include "lang/AstPrinter.h"
 #include "maxsat/Portfolio.h"
+#include "support/JsonEscape.h"
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <map>
 
 using namespace bugassist;
@@ -71,20 +73,58 @@ lineHits(const LocalizationReport &R) {
   return Order;
 }
 
-/// The query-answering back half shared by the one-shot and prepared
-/// paths: judge the input (or find one by BMC), then enumerate CoMSSes --
-/// on \p Session when given, else on a session built from scratch.
-PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
-                           const PipelineRequest &R, MaxSatSession *Session) {
+} // namespace
+
+PipelineResult bugassist::runLocalizePipeline(std::string_view Source,
+                                              const PipelineRequest &R) {
+  PipelineResult Res;
+  std::unique_ptr<PreparedProgram> P =
+      prepareProgram(Source, R.Entry, R.Unroll, R.Encode, Res.Message);
+  if (!P) {
+    Res.Status = PipelineStatus::CompileError;
+    Res.Code = ErrorCode::CompileError;
+    return Res;
+  }
+  return runLocalizePipeline(*P, R);
+}
+
+std::unique_ptr<PreparedProgram>
+bugassist::prepareProgram(std::string_view Source, const std::string &Entry,
+                          const UnrollOptions &Unroll,
+                          const EncodeOptions &Encode, std::string &Error) {
+  DiagEngine Diags;
+  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
+  if (!Prog) {
+    Error = Diags.render();
+    return nullptr;
+  }
+  // The unroller assumes the entry exists.
+  if (!Prog->findFunction(Entry)) {
+    Error = "no entry function '" + Entry + "'\n";
+    return nullptr;
+  }
+  auto P = std::make_unique<PreparedProgram>();
+  P->Driver =
+      std::make_unique<BugAssistDriver>(*Prog, Entry, Unroll, Encode);
+  P->Prog = std::move(Prog);
+  return P;
+}
+
+PipelineResult bugassist::runLocalizePipeline(const PreparedProgram &P,
+                                              const PipelineRequest &R,
+                                              MaxSatSession *Session,
+                                              Solver *Bmc) {
   PipelineResult Res;
   Res.SpecUsed.CheckObligations = R.CheckObligations;
   Res.SpecUsed.GoldenReturn = R.GoldenReturn;
+  const TraceFormula &TF = P.Driver->formula();
+  LocalizeOptions Localize = R.Localize;
 
   if (R.Input) {
     // Sanity-check the given input concretely before blaming anything:
     // a passing input would make the MaxSAT instance satisfiable at cost
     // zero and the report vacuous.
-    Interpreter I(Prog, execOptionsFor(R));
+    Interpreter I(*P.Prog, execOptionsFor(R));
     ExecResult Run = I.run(R.Entry, *R.Input);
     if (Run.Status == ExecStatus::SetupError) {
       Res.Status = PipelineStatus::InputNotFailing;
@@ -125,84 +165,52 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
     }
     Res.FailingInput = *R.Input;
   } else {
-    // No input given: find one by bounded model checking (Section 4.1).
-    auto Cex = Driver.findCounterexample(Res.SpecUsed, R.BmcConflictBudget);
+    // No input given: find one by bounded model checking (Section 4.1),
+    // under the query's budget and on the caller's solver when given, so
+    // the caller can interrupt it.
+    Solver Own;
+    Solver &Solve = Bmc ? *Bmc : Own;
+    QueryBudget &B = Localize.Budget;
+    Solver::Budget SB = B.solverBudget();
+    if (B.any())
+      Solve.setBudget(SB);
+    bool Decided = false;
+    auto Cex = TF.findCounterexample(Res.SpecUsed, Decided, Solve);
     if (!Cex) {
       Res.Status = PipelineStatus::NoCounterexample;
-      Res.Code = ErrorCode::Ok;
-      Res.Message = "no spec violation found within the unwinding bounds";
+      Res.Code = Decided ? ErrorCode::Ok : ErrorCode::BudgetExhausted;
+      Res.Report.Incomplete = !Decided;
+      Res.Message =
+          Decided ? "no spec violation found within the unwinding bounds"
+                  : "INCOMPLETE: resource budget exhausted before the "
+                    "counterexample search finished";
       return Res;
     }
     Res.FailingInput = *Cex;
+    // One budget covers the whole query: localization gets what the
+    // search left of it.
+    if (B.TimeoutSeconds > 0)
+      B.TimeoutSeconds = std::max(
+          1e-6, std::chrono::duration<double>(
+                    SB.Deadline - std::chrono::steady_clock::now())
+                    .count());
+    if (B.MaxConflicts > 0)
+      B.MaxConflicts -= std::min(B.MaxConflicts - 1, Solve.stats().Conflicts);
   }
 
-  if (Session)
-    Res.Report = localizeFault(*Session, Driver.formula(), Res.FailingInput,
-                               Res.SpecUsed, R.Localize);
-  else
-    Res.Report = Driver.localize(Res.FailingInput, Res.SpecUsed, R.Localize);
+  if (Session) {
+    // Complete the sharedInstance() session into the per-test instance:
+    // the bindings and spec units range over original variables only, so
+    // the session's guard numbering matches the fresh-session path.
+    for (const Clause &C : TF.testClauses(Res.FailingInput, Res.SpecUsed))
+      Session->addHardClause(C);
+    Res.Report = enumerateCoMSSes(*Session, TF.encoded().Formula, Localize);
+  } else {
+    Res.Report = localizeFault(TF, Res.FailingInput, Res.SpecUsed, Localize);
+  }
   Res.Status = PipelineStatus::Localized;
   Res.Code = Res.Report.Incomplete ? ErrorCode::BudgetExhausted : ErrorCode::Ok;
   return Res;
-}
-
-/// Parse + sema, plus the check the unroller assumes: \p Entry exists.
-std::unique_ptr<Program> parseWithEntry(std::string_view Source,
-                                        const std::string &Entry,
-                                        std::string &Error) {
-  DiagEngine Diags;
-  std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
-  if (!Prog) {
-    Error = Diags.render();
-    return nullptr;
-  }
-  if (!Prog->findFunction(Entry)) {
-    Error = "no entry function '" + Entry + "'\n";
-    return nullptr;
-  }
-  return Prog;
-}
-
-} // namespace
-
-PipelineResult bugassist::runLocalizePipeline(const Program &Prog,
-                                              const PipelineRequest &R) {
-  BugAssistDriver Driver(Prog, R.Entry, R.Unroll, R.Encode);
-  return runOnDriver(Prog, Driver, R, /*Session=*/nullptr);
-}
-
-PipelineResult bugassist::runLocalizePipeline(std::string_view Source,
-                                              const PipelineRequest &R) {
-  std::string Error;
-  std::unique_ptr<Program> Prog = parseWithEntry(Source, R.Entry, Error);
-  if (!Prog) {
-    PipelineResult Res;
-    Res.Status = PipelineStatus::CompileError;
-    Res.Code = ErrorCode::CompileError;
-    Res.Message = Error;
-    return Res;
-  }
-  return runLocalizePipeline(*Prog, R);
-}
-
-std::unique_ptr<PreparedProgram>
-bugassist::prepareProgram(std::string_view Source, const std::string &Entry,
-                          const UnrollOptions &Unroll,
-                          const EncodeOptions &Encode, std::string &Error) {
-  std::unique_ptr<Program> Prog = parseWithEntry(Source, Entry, Error);
-  if (!Prog)
-    return nullptr;
-  auto P = std::make_unique<PreparedProgram>();
-  P->Driver =
-      std::make_unique<BugAssistDriver>(*Prog, Entry, Unroll, Encode);
-  P->Prog = std::move(Prog);
-  return P;
-}
-
-PipelineResult bugassist::runLocalizePipeline(const PreparedProgram &P,
-                                              const PipelineRequest &R,
-                                              MaxSatSession *Session) {
-  return runOnDriver(*P.Prog, *P.Driver, R, Session);
 }
 
 std::vector<int64_t> bugassist::goldenOutputs(
@@ -213,32 +221,6 @@ std::vector<int64_t> bugassist::goldenOutputs(
   Out.reserve(Pool.size());
   for (const InputVector &In : Pool)
     Out.push_back(GI.run(Entry, In).ReturnValue);
-  return Out;
-}
-
-FailingTests bugassist::segregateFailingTests(
-    const Program &Golden, const Program &Faulty,
-    const std::vector<InputVector> &Pool, const std::string &Entry,
-    const ExecOptions &EO, size_t MaxTests, size_t MaxPassing) {
-  FailingTests Out;
-  Out.PoolSize = Pool.size();
-  Interpreter GI(Golden, EO);
-  Interpreter FI(Faulty, EO);
-  for (const InputVector &In : Pool) {
-    if (Out.Inputs.size() >= MaxTests &&
-        Out.PassingInputs.size() >= MaxPassing)
-      break;
-    int64_t Want = GI.run(Entry, In).ReturnValue;
-    if (FI.run(Entry, In).ReturnValue != Want) {
-      if (Out.Inputs.size() < MaxTests) {
-        Out.Inputs.push_back(In);
-        Out.Goldens.push_back(Want);
-      }
-    } else if (Out.PassingInputs.size() < MaxPassing) {
-      Out.PassingInputs.push_back(In);
-      Out.PassingGoldens.push_back(Want);
-    }
-  }
   return Out;
 }
 
@@ -601,36 +583,6 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
   return Out;
 }
 
-namespace {
-
-/// Minimal JSON string escaping for the repair renderer (descriptions and
-/// pretty-printed programs: quotes, backslashes, newlines, tabs).
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-      break;
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
-
 std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
                                           bool Json) {
   switch (Res.Status) {
@@ -675,9 +627,7 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
   Out += ",\n";
   if (R.Found) {
     Out += "  \"line\": " + std::to_string(R.Suggestion.Line) + ",\n";
-    Out += "  \"fix\": ";
-    appendJsonString(Out, R.Suggestion.Description);
-    Out += ",\n";
+    Out += "  \"fix\": \"" + jsonEscape(R.Suggestion.Description) + "\",\n";
   }
   Out += "  \"suspect_lines\": [";
   for (size_t I = 0; I < R.SuspectLines.size(); ++I)
@@ -698,8 +648,8 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
          ", \"bmc_rejected\": " + std::to_string(St.BmcRejected) +
          ", \"formula_builds\": " + std::to_string(St.FormulaBuilds) + "}";
   if (R.Found) {
-    Out += ",\n  \"fixed_program\": ";
-    appendJsonString(Out, printProgram(*R.Suggestion.FixedProgram));
+    Out += ",\n  \"fixed_program\": \"" +
+           jsonEscape(printProgram(*R.Suggestion.FixedProgram)) + "\"";
   }
   Out += "\n}\n";
   return Out;

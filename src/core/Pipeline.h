@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one driver seam behind every front-end: the `bugassist` CLI, the
-/// examples, and the bench harnesses all run source -> parse -> sema ->
-/// unroll -> trace formula -> CoMSS enumeration through
-/// runLocalizePipeline instead of each wiring the stages by hand.
+/// The one driver seam behind every front-end: the `bugassist` CLI, serve,
+/// fuzz, and the bench harnesses all run source -> parse -> sema ->
+/// unroll -> trace formula (prepareProgram) -> counterexample search ->
+/// CoMSS enumeration (runLocalizePipeline on the PreparedProgram) instead
+/// of each wiring the stages by hand.
 ///
 /// The pipeline also owns the two workflow conveniences the paper's
 /// Section 6.1 methodology needs around the core algorithm:
@@ -56,15 +57,19 @@ struct PipelineRequest {
   std::optional<int64_t> GoldenReturn;
   /// Check assert/bounds obligations as part of the spec.
   bool CheckObligations = true;
+  /// Localization knobs. Localize.Budget covers the whole query: the
+  /// counterexample search when Input is absent, then the enumeration
+  /// with whatever the search left.
   LocalizeOptions Localize;
-  /// Conflict budget for the BMC counterexample search (0 = unlimited).
-  uint64_t BmcConflictBudget = 0;
 };
 
 enum class PipelineStatus {
   Localized,      ///< Report holds the diagnoses
   CompileError,   ///< parse/sema failed; Message holds the diagnostics
-  NoCounterexample, ///< BMC found no failing input within bounds
+  /// BMC found no failing input within bounds -- or, with Code
+  /// BudgetExhausted and Report.Incomplete set, the query's budget (or an
+  /// interrupt) stopped the search before it decided
+  NoCounterexample,
   InputNotFailing ///< the given input satisfies the spec; nothing to blame
 };
 
@@ -85,12 +90,8 @@ struct PipelineResult {
   LocalizationReport Report;
 };
 
-/// Runs the full pipeline on an analyzed program (\p Prog must have passed
-/// Sema). Never returns CompileError.
-PipelineResult runLocalizePipeline(const Program &Prog,
-                                   const PipelineRequest &R);
-
-/// Runs the full pipeline from source text (parse + sema included).
+/// Runs the full pipeline from source text: prepareProgram, then the
+/// prepared overload below.
 PipelineResult runLocalizePipeline(std::string_view Source,
                                    const PipelineRequest &R);
 
@@ -114,19 +115,25 @@ std::unique_ptr<PreparedProgram> prepareProgram(std::string_view Source,
                                                 const EncodeOptions &Encode,
                                                 std::string &Error);
 
-/// The back half of the pipeline on a prepared program. \p R's Entry,
-/// Unroll, and Encode fields MUST equal the prepare-time values (serve
-/// guarantees this by keying its cache on them); only the per-query fields
-/// (Input, GoldenReturn, CheckObligations, Localize, BmcConflictBudget)
-/// vary. When \p Session is non-null it must be a fresh, never-solved
-/// session over Driver->formula().sharedInstance() -- e.g. a clone() of a
-/// cached base session -- and the enumeration runs on it (R.Localize's
+/// The back half of the pipeline on a prepared program: judge the input
+/// (or find one by BMC), then enumerate CoMSSes. \p R's Entry, Unroll,
+/// and Encode fields MUST equal the prepare-time values (serve guarantees
+/// this by keying its cache on them); only the per-query fields (Input,
+/// GoldenReturn, CheckObligations, Localize) vary.
+///
+/// When \p Session is non-null it must be a fresh, never-solved session
+/// over Driver->formula().sharedInstance() -- e.g. a clone() of a cached
+/// base session -- and the enumeration runs on it (R.Localize's
 /// Threads/Weighted/ConflictBudget session knobs are then fixed by the
-/// session itself; its budget knobs still apply). Reports are canonical,
-/// so both paths produce byte-identical output.
+/// session itself; its budget knobs still apply). Otherwise localizeFault
+/// builds the session. Reports are canonical, so both paths produce
+/// byte-identical output. When \p Bmc is non-null it must be an empty
+/// solver; the counterexample search runs on it, so a caller holding it
+/// (serve's watchdog and drain) can interrupt the search.
 PipelineResult runLocalizePipeline(const PreparedProgram &P,
                                    const PipelineRequest &R,
-                                   MaxSatSession *Session = nullptr);
+                                   MaxSatSession *Session = nullptr,
+                                   Solver *Bmc = nullptr);
 
 /// Everything runRepairPipeline needs besides the prepared program: the
 /// localize knobs plus the repair knobs and the failing test set.
@@ -208,28 +215,18 @@ struct FailingTests {
 };
 
 /// Runs \p Entry of \p Golden on every pool input and returns the return
-/// values. Compute this once when screening many faulty versions against
-/// the same pool (the Table 1 benches), then use the GoldenOut overload
-/// of segregateFailingTests below.
+/// values. Compute this once per pool and golden version, then screen
+/// every faulty version against it with segregateFailingTests below.
 std::vector<int64_t> goldenOutputs(const Program &Golden,
                                    const std::vector<InputVector> &Pool,
                                    const std::string &Entry,
                                    const ExecOptions &EO);
 
-/// Screens \p Pool: runs \p Entry of both programs on every input and
-/// collects up to \p MaxTests inputs where the faulty return differs from
-/// the golden one, plus up to \p MaxPassing agreeing inputs as regression
-/// witnesses for the repair candidate screen.
-FailingTests segregateFailingTests(const Program &Golden,
-                                   const Program &Faulty,
-                                   const std::vector<InputVector> &Pool,
-                                   const std::string &Entry,
-                                   const ExecOptions &EO,
-                                   size_t MaxTests = SIZE_MAX,
-                                   size_t MaxPassing = 0);
-
-/// Same screening against precomputed golden outputs (parallel to
-/// \p Pool), saving the golden re-interpretation per faulty version.
+/// Screens \p Pool against the golden outputs \p GoldenOut (parallel to
+/// \p Pool, from goldenOutputs): runs \p Entry of \p Faulty on every
+/// input and collects up to \p MaxTests inputs where its return differs
+/// from the golden one, plus up to \p MaxPassing agreeing inputs as
+/// regression witnesses for the repair candidate screen.
 FailingTests segregateFailingTests(const std::vector<int64_t> &GoldenOut,
                                    const Program &Faulty,
                                    const std::vector<InputVector> &Pool,

@@ -161,11 +161,12 @@ RepairResult repairCore(const Program &Prog,
   if (Lines.empty() && !FailingTests.empty()) {
     LocalizationReport R;
     if (PreparedDriver) {
-      R = PreparedDriver->localize(FailingTests[0], S0, Opts.Localize);
+      R = localizeFault(PreparedDriver->formula(), FailingTests[0], S0,
+                        Opts.Localize);
     } else {
       BugAssistDriver Driver(Prog, Entry, Opts.Unroll);
       ++Result.Stats.FormulaBuilds;
-      R = Driver.localize(FailingTests[0], S0, Opts.Localize);
+      R = localizeFault(Driver.formula(), FailingTests[0], S0, Opts.Localize);
     }
     std::set<uint32_t> Seen;
     for (const Diagnosis &D : R.Diagnoses)
@@ -231,13 +232,13 @@ RepairResult repairCore(const Program &Prog,
     if (GoldenPerTest)
       VerifySpec.GoldenReturn = std::nullopt;
     if (VerifySpec.CheckObligations || VerifySpec.GoldenReturn) {
-      UnrolledProgram UP = unrollProgram(*Mutant, Entry, Opts.Unroll);
-      EncodeOptions EO;
-      EO.BitWidth = Opts.Unroll.BitWidth;
-      TraceFormula TF(encodeProgram(UP, EO));
+      BugAssistDriver Verify(*Mutant, Entry, Opts.Unroll);
       ++Result.Stats.FormulaBuilds;
+      Solver Solve;
+      Solve.setConflictBudget(Opts.VerifyBudget);
       bool Decided = false;
-      auto Cex = TF.findCounterexample(VerifySpec, Decided, Opts.VerifyBudget);
+      auto Cex =
+          Verify.formula().findCounterexample(VerifySpec, Decided, Solve);
       if (Cex.has_value() || !Decided) {
         ++Result.Stats.BmcRejected;
         continue;

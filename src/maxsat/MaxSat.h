@@ -253,16 +253,16 @@ std::unique_ptr<MaxSatSession>
 makeLinearSession(const MaxSatInstance &Inst, uint64_t ConflictBudget = 0,
                   const Solver::Options &SolverOpts = Solver::Options());
 
-/// Engine dispatch used by the localization drivers.
-inline std::unique_ptr<MaxSatSession>
+/// The session factory behind every localization, CLI and serve query:
+/// linear search when \p Weighted, else Fu-Malik, always canonicalized so
+/// the reported CoMSS depends only on the formula. With \p Threads > 1 it
+/// returns a PortfolioSession (maxsat/Portfolio.h) of that many
+/// diversified workers seeded from \p SolverOpts; its results are the
+/// same as the single session's.
+std::unique_ptr<MaxSatSession>
 makeMaxSatSession(const MaxSatInstance &Inst, bool Weighted,
-                  uint64_t ConflictBudget = 0,
-                  const Solver::Options &SolverOpts = Solver::Options(),
-                  bool Canonical = false) {
-  return Weighted ? makeLinearSession(Inst, ConflictBudget, SolverOpts)
-                  : makeFuMalikSession(Inst, ConflictBudget, SolverOpts,
-                                       Canonical);
-}
+                  size_t Threads = 1, uint64_t ConflictBudget = 0,
+                  const Solver::Options &SolverOpts = Solver::Options());
 
 /// Fu-Malik core-guided partial MaxSAT (unweighted; weights ignored).
 /// One-shot convenience wrapper over makeFuMalikSession.

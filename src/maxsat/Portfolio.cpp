@@ -273,9 +273,8 @@ PortfolioSession::PortfolioSession(const MaxSatInstance &Inst, bool Weighted,
     if (Id == 0) {
       // Every worker canonicalizes, so the race winner's diagnosis is the
       // same set any other worker would have reported.
-      Sess = makeMaxSatSession(Inst, Weighted, ConflictBudget,
-                               diversifiedOptions(Base, 0),
-                               /*Canonical=*/true);
+      Sess = makeMaxSatSession(Inst, Weighted, /*Threads=*/1, ConflictBudget,
+                               diversifiedOptions(Base, 0));
       Sess->solver().preprocess(); // self-gated on Options::Preprocess
     } else {
       Sess = Workers[0]->clone();
@@ -306,8 +305,8 @@ void PortfolioSession::respawnRetired() {
     // every addHardClause broadcast so the replacement optimizes exactly
     // the formula the survivors hold.
     std::unique_ptr<MaxSatSession> Sess =
-        makeMaxSatSession(Inst, Weighted, ConflictBudget,
-                          diversifiedOptions(Base, Id), /*Canonical=*/true);
+        makeMaxSatSession(Inst, Weighted, /*Threads=*/1, ConflictBudget,
+                          diversifiedOptions(Base, Id));
     if (Workers.size() > 1) {
       // Hooks go in *before* any solving and the replacement never runs
       // its own preprocess: with hooks installed every variable below
@@ -477,10 +476,15 @@ size_t PortfolioSession::aliveWorkers() const {
   return N;
 }
 
-std::unique_ptr<PortfolioSession>
-bugassist::makePortfolioSession(const MaxSatInstance &Inst, bool Weighted,
-                                size_t Threads, uint64_t ConflictBudget,
-                                const Solver::Options &Base) {
-  return std::make_unique<PortfolioSession>(Inst, Weighted, Threads,
-                                            ConflictBudget, Base);
+std::unique_ptr<MaxSatSession>
+bugassist::makeMaxSatSession(const MaxSatInstance &Inst, bool Weighted,
+                             size_t Threads, uint64_t ConflictBudget,
+                             const Solver::Options &SolverOpts) {
+  if (Threads > 1)
+    return std::make_unique<PortfolioSession>(Inst, Weighted, Threads,
+                                              ConflictBudget, SolverOpts);
+  if (Weighted)
+    return makeLinearSession(Inst, ConflictBudget, SolverOpts);
+  return makeFuMalikSession(Inst, ConflictBudget, SolverOpts,
+                            /*Canonical=*/true);
 }

@@ -168,9 +168,9 @@ class PortfolioSession final : public MaxSatSession {
 public:
   /// \p Threads workers race each solve(); \p Base seeds the
   /// diversification recipe. Engine choice and budget match
-  /// makeMaxSatSession. Workers canonicalize their optima, so results are
-  /// identical to the single-threaded canonical session at every thread
-  /// count.
+  /// makeMaxSatSession, which builds this class whenever Threads > 1.
+  /// Workers canonicalize their optima, so results are identical to the
+  /// single-threaded canonical session at every thread count.
   PortfolioSession(const MaxSatInstance &Inst, bool Weighted, size_t Threads,
                    uint64_t ConflictBudget = 0,
                    const Solver::Options &Base = Solver::Options());
@@ -233,14 +233,6 @@ private:
   std::vector<Clause> AddedHard;
   std::optional<Solver::Budget> CurBudget;
 };
-
-/// Factory mirroring makeMaxSatSession; Threads <= 1 still builds a
-/// portfolio (of one canonical worker) so localization drivers have one
-/// code path.
-std::unique_ptr<PortfolioSession>
-makePortfolioSession(const MaxSatInstance &Inst, bool Weighted,
-                     size_t Threads, uint64_t ConflictBudget = 0,
-                     const Solver::Options &Base = Solver::Options());
 
 } // namespace bugassist
 

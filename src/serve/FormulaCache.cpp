@@ -79,9 +79,7 @@ CachedProgram::cloneSession(bool Weighted) const {
   std::lock_guard<std::mutex> Lock(BaseMu);
   std::unique_ptr<MaxSatSession> &B = Base[Weighted ? 1 : 0];
   if (!B) {
-    B = makeMaxSatSession(TF.sharedInstance(), Weighted,
-                          /*ConflictBudget=*/0, Solver::Options(),
-                          /*Canonical=*/true);
+    B = makeMaxSatSession(TF.sharedInstance(), Weighted);
     // Preprocess the shared base once; clones inherit the shrunken clause
     // database (and the eliminated-variable reconstruction stack) via the
     // member-wise Solver copy, so per-request solves skip the pass. The

@@ -53,10 +53,8 @@ public:
   const std::string &error() const { return Error; }
 
   /// A fresh session for one query: a clone of the per-engine base session
-  /// (built on first use). \returns nullptr only when the engine does not
-  /// support cloning -- the caller then falls back to the fresh-session
-  /// path inside runLocalizePipeline, which is always correct, just not
-  /// load-once. Requires prepared() != nullptr.
+  /// (built on first use; a single Fu-Malik or linear session, both of
+  /// which clone). Requires prepared() != nullptr.
   std::unique_ptr<MaxSatSession> cloneSession(bool Weighted) const;
 
 private:

@@ -345,28 +345,3 @@ std::optional<JsonValue> bugassist::parseJson(std::string_view Text,
   }
   return Parser(Text, Error).run();
 }
-
-std::string bugassist::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':  Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\b': Out += "\\b";  break;
-    case '\f': Out += "\\f";  break;
-    case '\n': Out += "\\n";  break;
-    case '\r': Out += "\\r";  break;
-    case '\t': Out += "\\t";  break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}

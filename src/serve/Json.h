@@ -21,6 +21,8 @@
 #ifndef BUGASSIST_SERVE_JSON_H
 #define BUGASSIST_SERVE_JSON_H
 
+#include "support/JsonEscape.h"
+
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,10 +64,6 @@ struct JsonValue {
 /// deviation: trailing garbage, duplicate object keys, bad escapes,
 /// unterminated strings, numbers JSON does not allow.
 std::optional<JsonValue> parseJson(std::string_view Text, std::string &Error);
-
-/// Escapes \p S for inclusion inside a JSON string literal (quotes not
-/// included): `"` `\` and control characters, everything else verbatim.
-std::string jsonEscape(std::string_view S);
 
 } // namespace bugassist
 

@@ -141,19 +141,19 @@ Outcome respondError(const Request &Req, ErrorCode Code,
 
 // --- in-flight registry ------------------------------------------------------
 
-/// Per-worker registry of the solver answering the in-flight request,
-/// with its watchdog deadline. The watchdog thread and the drain sweep
-/// call interrupt() under the same mutex the worker uses to register /
-/// clear, so an interrupt can never land on a destroyed solver.
+/// Per-worker registry of the solvers answering the in-flight request
+/// (a localize query's counterexample search and MaxSAT session), with
+/// its watchdog deadline. The watchdog thread and the drain sweep call
+/// interrupt() under the same mutex the worker uses to register / clear,
+/// so an interrupt can never land on a destroyed solver.
 class FlightTable {
 public:
   explicit FlightTable(size_t Workers)
-      : Solvers(Workers, nullptr), Deadline(Workers), HasDeadline(Workers, 0) {
-  }
+      : Solvers(Workers), Deadline(Workers), HasDeadline(Workers, 0) {}
 
-  void set(size_t W, Solver *S, double WatchdogSeconds) {
+  void set(size_t W, std::vector<Solver *> S, double WatchdogSeconds) {
     std::lock_guard<std::mutex> Lock(Mu);
-    Solvers[W] = S;
+    Solvers[W] = std::move(S);
     HasDeadline[W] = WatchdogSeconds > 0;
     if (WatchdogSeconds > 0)
       Deadline[W] = Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -163,14 +163,14 @@ public:
 
   void clear(size_t W) {
     std::lock_guard<std::mutex> Lock(Mu);
-    Solvers[W] = nullptr;
+    Solvers[W].clear();
   }
 
   /// Drain: interrupt every in-flight solve.
   void interruptAll() {
     std::lock_guard<std::mutex> Lock(Mu);
-    for (Solver *S : Solvers)
-      if (S)
+    for (const std::vector<Solver *> &Flight : Solvers)
+      for (Solver *S : Flight)
         S->interrupt();
   }
 
@@ -181,8 +181,9 @@ public:
     Clock::time_point Now = Clock::now();
     size_t N = 0;
     for (size_t W = 0; W < Solvers.size(); ++W)
-      if (Solvers[W] && HasDeadline[W] && Now >= Deadline[W]) {
-        Solvers[W]->interrupt();
+      if (!Solvers[W].empty() && HasDeadline[W] && Now >= Deadline[W]) {
+        for (Solver *S : Solvers[W])
+          S->interrupt();
         ++N;
       }
     return N;
@@ -190,16 +191,17 @@ public:
 
 private:
   std::mutex Mu;
-  std::vector<Solver *> Solvers;
+  std::vector<std::vector<Solver *>> Solvers;
   std::vector<Clock::time_point> Deadline;
   std::vector<char> HasDeadline;
 };
 
-/// RAII registration of one request's solver in the flight table.
+/// RAII registration of one request's solvers in the flight table.
 struct FlightGuard {
-  FlightGuard(FlightTable &Table, size_t W, Solver *S, double WatchdogSeconds)
+  FlightGuard(FlightTable &Table, size_t W, std::vector<Solver *> S,
+              double WatchdogSeconds)
       : Table(Table), W(W) {
-    Table.set(W, S, WatchdogSeconds);
+    Table.set(W, std::move(S), WatchdogSeconds);
   }
   ~FlightGuard() { Table.clear(W); }
   FlightTable &Table;
@@ -262,15 +264,19 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
 
   // The encode-once fast path: a clone of the cached base session, primed
   // with TF1 + the soft selectors, completed per-test inside the pipeline.
-  // cloneSession can only return nullptr for engines without clone(), and
-  // the pipeline then transparently builds a session from scratch.
+  // Both it and the counterexample search's solver (used only when the
+  // request has no input) are in flight, so the watchdog and a drain can
+  // stop either stage.
   std::unique_ptr<MaxSatSession> Session =
       CP.cloneSession(R.Localize.Weighted);
+  Solver Bmc;
   std::optional<FlightGuard> Flight;
-  if (Session && Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
+  if (Ctx.Flights)
+    Flight.emplace(*Ctx.Flights, Ctx.Worker,
+                   std::vector<Solver *>{&Bmc, &Session->solver()},
                    Ctx.WatchdogSeconds);
-  PipelineResult Res = runLocalizePipeline(*CP.prepared(), R, Session.get());
+  PipelineResult Res =
+      runLocalizePipeline(*CP.prepared(), R, Session.get(), &Bmc);
   Flight.reset();
 
   if (Res.Status == PipelineStatus::InputNotFailing)
@@ -310,8 +316,9 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
   std::unique_ptr<MaxSatSession> Session =
       CP.cloneSession(R.Localize.Weighted);
   std::optional<FlightGuard> Flight;
-  if (Session && Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
+  if (Ctx.Flights)
+    Flight.emplace(*Ctx.Flights, Ctx.Worker,
+                   std::vector<Solver *>{&Session->solver()},
                    Ctx.WatchdogSeconds);
   RepairPipelineResult Res =
       runRepairPipeline(*CP.prepared(), R, Session.get());
@@ -340,19 +347,15 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
 
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  // Engine dispatch matches the CLI: Fu-Malik ignores weights, so weighted
-  // instances force linear search unless fumalik was explicitly requested.
-  const std::string &Engine = Req.Opts.Engine;
-  bool Weighted = Engine == "linear" || (Engine == "auto" && AnyWeight);
   std::unique_ptr<MaxSatSession> Session =
-      makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
-                        Solver::Options(), /*Canonical=*/true);
+      makeMaxSatSession(Inst, Req.Opts.weightedEngine(AnyWeight));
   QueryBudget B = budgetOf(Req, Ctx);
   if (B.any())
     Session->setBudget(B.solverBudget());
   std::optional<FlightGuard> Flight;
   if (Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
+    Flight.emplace(*Ctx.Flights, Ctx.Worker,
+                   std::vector<Solver *>{&Session->solver()},
                    Ctx.WatchdogSeconds);
   MaxSatResult R = Session->solve();
   Flight.reset();

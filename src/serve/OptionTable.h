@@ -85,6 +85,14 @@ struct CommandOptions {
 
   /// The RepairRequest these options describe.
   RepairRequest repairRequest() const;
+
+  /// maxsat: whether Engine selects the weighted linear search, given
+  /// whether the instance has a soft weight other than 1
+  /// (\p AnyNonUnitWeight). Fu-Malik ignores weights, so `auto` picks
+  /// linear search exactly then.
+  bool weightedEngine(bool AnyNonUnitWeight) const {
+    return Engine == "linear" || (Engine == "auto" && AnyNonUnitWeight);
+  }
 };
 
 enum class OptionKind {

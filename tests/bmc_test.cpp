@@ -282,7 +282,8 @@ TEST(TraceFormula, CounterexampleForAssert) {
                                 "  return y;"
                                 "}");
   bool Decided = false;
-  auto Cex = TF.findCounterexample(Spec{}, Decided);
+  Solver Solve;
+  auto Cex = TF.findCounterexample(Spec{}, Decided, Solve);
   ASSERT_TRUE(Decided);
   ASSERT_TRUE(Cex.has_value());
   ASSERT_EQ(Cex->size(), 1u);
@@ -296,7 +297,8 @@ TEST(TraceFormula, NoCounterexampleForSafeProgram) {
                                 "  return y;"
                                 "}");
   bool Decided = false;
-  auto Cex = TF.findCounterexample(Spec{}, Decided);
+  Solver Solve;
+  auto Cex = TF.findCounterexample(Spec{}, Decided, Solve);
   EXPECT_TRUE(Decided);
   EXPECT_FALSE(Cex.has_value());
 }
@@ -310,7 +312,8 @@ TEST(TraceFormula, CounterexampleForGoldenOutput) {
   Spec S;
   S.GoldenReturn = 1;
   bool Decided = false;
-  auto Cex = TF.findCounterexample(S, Decided);
+  Solver Solve;
+  auto Cex = TF.findCounterexample(S, Decided, Solve);
   ASSERT_TRUE(Decided);
   ASSERT_TRUE(Cex.has_value());
   EXPECT_GE((*Cex)[0].Scalar, 4);
@@ -328,7 +331,8 @@ TEST(TraceFormula, PaperProgram1Counterexample) {
                     "}\n";
   TraceFormula TF = makeFormula(Src);
   bool Decided = false;
-  auto Cex = TF.findCounterexample(Spec{}, Decided);
+  Solver Solve;
+  auto Cex = TF.findCounterexample(Spec{}, Decided, Solve);
   ASSERT_TRUE(Decided);
   ASSERT_TRUE(Cex.has_value()) << "bounds violation must be found";
   EXPECT_EQ((*Cex)[0].Scalar, 1) << "only index == 1 fails";

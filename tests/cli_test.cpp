@@ -15,6 +15,7 @@
 #include "maxsat/Portfolio.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -91,9 +92,10 @@ TEST(BugassistCli, LocalizeMatchesLibraryDriverAtEveryThreadCount) {
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
   auto Faulty = parseAndAnalyze(tcasMutants()[1].Source, Diags);
   ASSERT_TRUE(Golden && Faulty) << Diags.render();
-  FailingTests Failing =
-      segregateFailingTests(*Golden, *Faulty, tcasTestPool(1600), "main",
-                            tcasExecOptions(), /*MaxTests=*/1);
+  std::vector<InputVector> Pool = tcasTestPool(1600);
+  FailingTests Failing = segregateFailingTests(
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty,
+      Pool, "main", tcasExecOptions(), /*MaxTests=*/1);
   ASSERT_EQ(Failing.Inputs.size(), 1u);
 
   // The library-driver diagnosis through the pipeline seam.
@@ -103,7 +105,7 @@ TEST(BugassistCli, LocalizeMatchesLibraryDriverAtEveryThreadCount) {
   R.GoldenReturn = Failing.Goldens[0];
   R.CheckObligations = false;
   R.Localize.MaxDiagnoses = 24;
-  PipelineResult Lib = runLocalizePipeline(*Faulty, R);
+  PipelineResult Lib = runLocalizePipeline(tcasMutants()[1].Source, R);
   ASSERT_EQ(Lib.Status, PipelineStatus::Localized);
   ASSERT_FALSE(Lib.Report.Diagnoses.empty());
   std::string Expected = "failing input: " +
@@ -137,6 +139,64 @@ TEST(BugassistCli, LocalizeMatchesLibraryDriverAtEveryThreadCount) {
     EXPECT_NE(First.find(" " + std::to_string(BugLine)), std::string::npos);
 
   std::remove(Source.c_str());
+}
+
+TEST(Pipeline, EveryEntryPointRunsTheSameSearch) {
+  // The CI TCAS v2 query at width 1. The source, prepared-program and
+  // trace-formula entry points all build the same session from the same
+  // instance, so not only the reports but every solver counter agrees --
+  // and so does the one-shot CLI's --stats output.
+  const std::string &Source = tcasMutants()[1].Source;
+  const char *Input = "1052,1,0,6677,118,1329,0,790,890,0,2,1";
+  std::string Error;
+  PipelineRequest R;
+  R.Unroll = tcasUnrollOptions();
+  R.Input = parseInputVector(Input, Error);
+  R.GoldenReturn = 2;
+  R.CheckObligations = false;
+  R.Localize.MaxDiagnoses = 24;
+
+  PipelineResult FromSource = runLocalizePipeline(Source, R);
+  ASSERT_EQ(FromSource.Status, PipelineStatus::Localized);
+  auto P = prepareProgram(Source, R.Entry, R.Unroll, R.Encode, Error);
+  ASSERT_TRUE(P) << Error;
+  PipelineResult FromPrepared = runLocalizePipeline(*P, R);
+  ASSERT_EQ(FromPrepared.Status, PipelineStatus::Localized);
+  LocalizationReport FromFormula = localizeFault(
+      P->Driver->formula(), *R.Input, FromSource.SpecUsed, R.Localize);
+
+  const LocalizationReport &Want = FromSource.Report;
+  ASSERT_FALSE(Want.Diagnoses.empty());
+  for (const LocalizationReport *Got : {&FromPrepared.Report, &FromFormula}) {
+    EXPECT_EQ(renderLocalizationReport(*Got), renderLocalizationReport(Want));
+    EXPECT_EQ(Got->SatCalls, Want.SatCalls);
+    EXPECT_EQ(Got->Search.Conflicts, Want.Search.Conflicts);
+    EXPECT_EQ(Got->Search.Propagations, Want.Search.Propagations);
+    EXPECT_EQ(Got->Search.Decisions, Want.Search.Decisions);
+    EXPECT_EQ(Got->Search.VarsEliminated, Want.Search.VarsEliminated);
+    EXPECT_TRUE(Got->PortfolioWins.empty());
+  }
+
+  std::string Path = writeTempFile(Source);
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " localize " + Path + " --input \"" + Input +
+          "\" --golden 2 --no-obligations --no-bounds --bitwidth 16"
+          " --hard-lines 69-84 --max-diagnoses 24 --threads 1 --stats",
+      Exit);
+  EXPECT_EQ(exitStatus(Exit), 0);
+  EXPECT_EQ(Out, renderLocalizeOutput(FromSource, /*Json=*/false) +
+                     renderSearchStats(Want));
+  std::remove(Path.c_str());
+
+  // Wider, the factory builds a portfolio: same report, one win counter
+  // per worker.
+  LocalizeOptions Wide = R.Localize;
+  Wide.Threads = 4;
+  LocalizationReport Raced = localizeFault(P->Driver->formula(), *R.Input,
+                                           FromSource.SpecUsed, Wide);
+  EXPECT_EQ(renderLocalizationReport(Raced), renderLocalizationReport(Want));
+  EXPECT_EQ(Raced.PortfolioWins.size(), 4u);
 }
 
 TEST(BugassistCli, LocalizeJsonContainsReport) {
@@ -348,9 +408,10 @@ TEST(BugassistCli, LocalizePartialReportIdenticalAcrossWidths) {
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
   auto Faulty = parseAndAnalyze(tcasMutants()[1].Source, Diags);
   ASSERT_TRUE(Golden && Faulty) << Diags.render();
-  FailingTests Failing =
-      segregateFailingTests(*Golden, *Faulty, tcasTestPool(1600), "main",
-                            tcasExecOptions(), /*MaxTests=*/1);
+  std::vector<InputVector> Pool = tcasTestPool(1600);
+  FailingTests Failing = segregateFailingTests(
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty,
+      Pool, "main", tcasExecOptions(), /*MaxTests=*/1);
   ASSERT_EQ(Failing.Inputs.size(), 1u);
 
   std::string Source = writeTempFile(tcasMutants()[1].Source);
@@ -378,6 +439,29 @@ TEST(BugassistCli, LocalizePartialReportIdenticalAcrossWidths) {
   std::remove(Source.c_str());
 }
 
+TEST(BugassistCli, CounterexampleSearchHonorsTheQueryBudget) {
+  // Without --input, localize first searches for a failing input by BMC.
+  // Commutativity of a 10-bit multiply holds, so that search must refute
+  // the assert -- tens of seconds of CDCL. Under a budget it has to stop
+  // with exit 2 and an INCOMPLETE note, never claim "no spec violation".
+  std::string Path =
+      writeTempFile("int main(int x, int y) {\n  int a = x * y;\n"
+                    "  int b = y * x;\n  assert(a == b);\n  return a;\n}\n");
+  const std::string Base = Cli + " localize " + Path + " --bitwidth 10";
+  for (const char *Budget : {" --max-conflicts 2000", " --timeout 0.5"}) {
+    Timer T;
+    int Exit = 0;
+    std::string Out = runCommand(Base + Budget, Exit);
+    EXPECT_EQ(exitStatus(Exit), 2) << Budget;
+    EXPECT_EQ(Out, "INCOMPLETE: resource budget exhausted before the "
+                   "counterexample search finished\n")
+        << Budget;
+    EXPECT_EQ(Out.find("no spec violation"), std::string::npos) << Budget;
+    EXPECT_LT(T.seconds(), 20.0) << Budget;
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(BugassistCli, DumpTcasRoundTripsThroughTheParser) {
   int Exit = 0;
   std::string Out = runCommand(Cli + " dump-tcas 2", Exit);
@@ -403,9 +487,10 @@ std::string tcasRepairArgs(size_t MutantIdx, size_t MaxTests,
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
   auto Faulty = parseAndAnalyze(tcasMutants()[MutantIdx].Source, Diags);
   EXPECT_TRUE(Golden && Faulty) << Diags.render();
-  FailingTests Failing =
-      segregateFailingTests(*Golden, *Faulty, tcasTestPool(300), "main",
-                            tcasExecOptions(), MaxTests, MaxPassing);
+  std::vector<InputVector> Pool = tcasTestPool(300);
+  FailingTests Failing = segregateFailingTests(
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty,
+      Pool, "main", tcasExecOptions(), MaxTests, MaxPassing);
   EXPECT_FALSE(Failing.Inputs.empty());
   std::string Args;
   for (size_t I = 0; I < Failing.Inputs.size(); ++I)

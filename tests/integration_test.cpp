@@ -216,7 +216,7 @@ TEST(SmallDemos, Program1LocalizeAndRepair) {
   BugAssistDriver Driver(*P, "main");
   auto Cex = Driver.findCounterexample(Spec{});
   ASSERT_TRUE(Cex.has_value());
-  LocalizationReport R = Driver.localize(*Cex, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), *Cex, Spec{});
   bool Found = std::find(R.AllLines.begin(), R.AllLines.end(),
                          program1BugLine()) != R.AllLines.end();
   EXPECT_TRUE(Found);
@@ -242,7 +242,7 @@ TEST(SmallDemos, Program2StrncatStudy) {
   UO.TrustedFunctions.insert(program2LibraryFunction());
   UO.HardLines = program2HardLines();
   BugAssistDriver Driver(*P, "main", UO);
-  LocalizationReport R = Driver.localize(Bad, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Bad, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   bool CallSiteBlamed = std::find(R.AllLines.begin(), R.AllLines.end(),
                                   program2BugLine()) != R.AllLines.end();

@@ -61,7 +61,7 @@ TEST(Localize, MotivatingExampleFindsTheBugLine) {
   ASSERT_TRUE(Cex.has_value());
   EXPECT_EQ((*Cex)[0].Scalar, 1);
 
-  LocalizationReport R = Driver.localize(*Cex, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), *Cex, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
 
   // Every diagnosis is a singleton: one line suffices for a fix.
@@ -85,7 +85,7 @@ TEST(Localize, EnumerationBlocksPreviousDiagnoses) {
   auto P = compile(Program1);
   BugAssistDriver Driver(*P, "main");
   InputVector Fail{InputValue::scalar(1)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   // Each diagnosis distinct.
   for (size_t I = 0; I < R.Diagnoses.size(); ++I)
     for (size_t J = I + 1; J < R.Diagnoses.size(); ++J)
@@ -96,7 +96,7 @@ TEST(Localize, PassingTestYieldsNoDiagnoses) {
   auto P = compile(Program1);
   BugAssistDriver Driver(*P, "main");
   InputVector Pass{InputValue::scalar(0)};
-  LocalizationReport R = Driver.localize(Pass, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Pass, Spec{});
   EXPECT_TRUE(R.Diagnoses.empty());
   EXPECT_TRUE(R.Exhausted);
 }
@@ -113,7 +113,7 @@ TEST(Localize, GoldenOutputSpec) {
   S.CheckObligations = false;
   S.GoldenReturn = 5; // golden: abs(-5) == 5
   InputVector Fail{InputValue::scalar(-5)};
-  LocalizationReport R = Driver.localize(Fail, S);
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, S);
   ASSERT_FALSE(R.Diagnoses.empty());
   // Fixable at the return (line 2) or at the branch condition (line 2 as
   // well); line 2 must be blamed.
@@ -134,7 +134,7 @@ TEST(Localize, MultiLineDiagnosisWhenSingleLineCannotFix) {
   auto P = compile(Src);
   BugAssistDriver Driver(*P, "main");
   InputVector Fail{InputValue::scalar(0)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   // The only fix changes both line 2 and line 3 simultaneously.
   EXPECT_EQ(R.Diagnoses[0].Lines.size(), 2u);
@@ -157,7 +157,7 @@ TEST(Localize, WrongOperatorLocalized) {
   auto Cex = Driver.findCounterexample(Spec{});
   ASSERT_TRUE(Cex.has_value());
   EXPECT_EQ((*Cex)[0].Scalar, 3);
-  LocalizationReport R = Driver.localize(*Cex, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), *Cex, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   EXPECT_TRUE(containsLine(R.AllLines, 3));
 }
@@ -174,7 +174,7 @@ TEST(Localize, TrustedFunctionNeverBlamed) {
   UO.TrustedFunctions.insert("lib");
   BugAssistDriver Driver(*P, "main", UO);
   InputVector Fail{InputValue::scalar(0)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   // Line 1 is inside the trusted library: it must never appear.
   EXPECT_FALSE(containsLine(R.AllLines, 1));
@@ -200,7 +200,7 @@ TEST(Localize, LoopBugLocalized) {
   UO.MaxLoopUnwind = 5;
   BugAssistDriver Driver(*P, "main", UO);
   InputVector Fail{InputValue::scalar(3)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   EXPECT_TRUE(containsLine(R.AllLines, 6)) << "accumulation line missing";
 }
@@ -211,7 +211,7 @@ TEST(Localize, MaxDiagnosesRespected) {
   LocalizeOptions LO;
   LO.MaxDiagnoses = 1;
   LocalizationReport R =
-      Driver.localize({InputValue::scalar(1)}, Spec{}, LO);
+      localizeFault(Driver.formula(), {InputValue::scalar(1)}, Spec{}, LO);
   EXPECT_EQ(R.Diagnoses.size(), 1u);
   EXPECT_FALSE(R.Exhausted);
 }
@@ -224,8 +224,8 @@ TEST(Localize, WeightedAndFuMalikAgreeOnOptimalCost) {
   FM.MaxDiagnoses = 1;
   LocalizeOptions LS = FM;
   LS.Weighted = true;
-  LocalizationReport A = Driver.localize(Fail, Spec{}, FM);
-  LocalizationReport B = Driver.localize(Fail, Spec{}, LS);
+  LocalizationReport A = localizeFault(Driver.formula(), Fail, Spec{}, FM);
+  LocalizationReport B = localizeFault(Driver.formula(), Fail, Spec{}, LS);
   ASSERT_FALSE(A.Diagnoses.empty());
   ASSERT_FALSE(B.Diagnoses.empty());
   EXPECT_EQ(A.Diagnoses[0].Cost, B.Diagnoses[0].Cost);

@@ -621,9 +621,7 @@ TEST(Anytime, BudgetedBoundsBracketTheTrueOptimumOnRandomSweep) {
   for (int Round = 0; Round < 20; ++Round) {
     MaxSatInstance Inst = randomInstance(R, 7, 8, 9, Round % 2 == 1);
     uint64_t Expected = bruteForceOptimum(Inst);
-    auto Session = makeMaxSatSession(Inst, /*Weighted=*/Round % 2 == 1,
-                                     /*ConflictBudget=*/0, Solver::Options(),
-                                     /*Canonical=*/true);
+    auto Session = makeMaxSatSession(Inst, /*Weighted=*/Round % 2 == 1);
     // An already-expired deadline: the optimizing search stops at its very
     // first poll, so only the harvest pass (which runs budget-free) can
     // contribute a witness.

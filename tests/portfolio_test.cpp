@@ -269,8 +269,7 @@ TEST(Portfolio, EnumerationMatchesSingleThreadedSessionOnChains) {
   // cost and falsified set as the single-threaded canonical session.
   for (bool Weighted : {false, true}) {
     MaxSatInstance Inst = selectorChain(8);
-    auto Reference = makeMaxSatSession(Inst, Weighted, 0, Solver::Options(),
-                                       /*Canonical=*/true);
+    auto Reference = makeMaxSatSession(Inst, Weighted);
     std::vector<MaxSatResult> Want;
     for (;;) {
       MaxSatResult R = Reference->solve();
@@ -286,7 +285,9 @@ TEST(Portfolio, EnumerationMatchesSingleThreadedSessionOnChains) {
     ASSERT_GT(Want.size(), 2u);
 
     for (size_t Threads : {1u, 2u, 4u}) {
-      auto Portfolio = makePortfolioSession(Inst, Weighted, Threads);
+      // Built directly so Threads == 1 still races a one-worker portfolio.
+      auto Portfolio =
+          std::make_unique<PortfolioSession>(Inst, Weighted, Threads);
       for (size_t Step = 0; Step < Want.size(); ++Step) {
         MaxSatResult R = Portfolio->solve();
         ASSERT_EQ(R.Status, Want[Step].Status)
@@ -354,13 +355,15 @@ TEST(Portfolio, TcasLocalizationIdenticalAtEveryThreadCount) {
 
     LocalizeOptions LO;
     LO.MaxDiagnoses = 8;
-    LocalizationReport Single = Driver.localize(Pool[FailingIdx], S, LO);
+    LocalizationReport Single =
+        localizeFault(Driver.formula(), Pool[FailingIdx], S, LO);
     ASSERT_FALSE(Single.Diagnoses.empty()) << "v" << M.Version;
 
     for (size_t Threads : {1u, 2u, 4u}) {
       LocalizeOptions PLO = LO;
       PLO.Threads = Threads;
-      LocalizationReport Ported = Driver.localize(Pool[FailingIdx], S, PLO);
+      LocalizationReport Ported =
+          localizeFault(Driver.formula(), Pool[FailingIdx], S, PLO);
       EXPECT_EQ(Ported.Exhausted, Single.Exhausted)
           << "v" << M.Version << " threads " << Threads;
       EXPECT_EQ(Ported.AllLines, Single.AllLines)
@@ -404,8 +407,7 @@ MaxSatInstance softPigeonhole(int Holes) {
 TEST(PortfolioFaults, WorkerBadAllocIsIsolatedAndDiagnosisUnchanged) {
   // Reference: the canonical single-threaded session.
   MaxSatInstance Inst = softPigeonhole(5);
-  auto Ref = makeMaxSatSession(Inst, /*Weighted=*/false, /*ConflictBudget=*/0,
-                               Solver::Options(), /*Canonical=*/true);
+  auto Ref = makeMaxSatSession(Inst, /*Weighted=*/false);
   MaxSatResult Want = Ref->solve();
   ASSERT_EQ(Want.Status, MaxSatStatus::Optimum);
   ASSERT_EQ(Want.Cost, 1u);
@@ -413,7 +415,8 @@ TEST(PortfolioFaults, WorkerBadAllocIsIsolatedAndDiagnosisUnchanged) {
   // Portfolio of four; one worker dies of bad_alloc at its first learnt
   // allocation. The race must finish on the survivors with the same
   // canonical diagnosis.
-  auto Portfolio = makePortfolioSession(Inst, /*Weighted=*/false, 4);
+  auto Portfolio =
+      std::make_unique<PortfolioSession>(Inst, /*Weighted=*/false, 4);
   MaxSatResult Got;
   {
     faultinject::ScopedFault Fault(faultinject::Event::Allocation,
@@ -476,13 +479,8 @@ TEST(PortfolioBudget, SoftPigeonholeDeadlineIsAnytimeAtEveryWidth) {
   // upper bound and a witness, well under a second, at every width.
   MaxSatInstance Inst = softPigeonhole(9);
   for (size_t Threads : {1u, 2u, 4u}) {
-    std::unique_ptr<MaxSatSession> Session;
-    if (Threads == 1)
-      Session = makeMaxSatSession(Inst, /*Weighted=*/false,
-                                  /*ConflictBudget=*/0, Solver::Options(),
-                                  /*Canonical=*/true);
-    else
-      Session = makePortfolioSession(Inst, /*Weighted=*/false, Threads);
+    std::unique_ptr<MaxSatSession> Session =
+        makeMaxSatSession(Inst, /*Weighted=*/false, Threads);
     Solver::Budget B;
     B.setDeadlineIn(0.05);
     Session->setBudget(B);

@@ -253,9 +253,10 @@ FailingTests tcasFailingTests(const Program &Faulty, size_t MaxTests,
   DiagEngine Diags;
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
   EXPECT_TRUE(Golden != nullptr);
-  FailingTests FT =
-      segregateFailingTests(*Golden, Faulty, tcasTestPool(300), "main",
-                            tcasExecOptions(), MaxTests, MaxPassing);
+  std::vector<InputVector> Pool = tcasTestPool(300);
+  FailingTests FT = segregateFailingTests(
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), Faulty,
+      Pool, "main", tcasExecOptions(), MaxTests, MaxPassing);
   for (size_t T = 0; T < FT.PassingInputs.size(); ++T) {
     FT.Inputs.push_back(FT.PassingInputs[T]);
     FT.Goldens.push_back(FT.PassingGoldens[T]);

@@ -25,6 +25,7 @@
 #include "serve/OptionTable.h"
 #include "serve/OrderedEmitter.h"
 #include "support/FaultInject.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -193,9 +194,10 @@ const TcasFailure &tcasV2Failure() {
     auto Golden = parseAndAnalyze(tcasSource(), Diags);
     auto Faulty = parseAndAnalyze(tcasMutants()[1].Source, Diags);
     EXPECT_TRUE(Golden && Faulty) << Diags.render();
-    FailingTests Failing =
-        segregateFailingTests(*Golden, *Faulty, tcasTestPool(1600), "main",
-                              tcasExecOptions(), /*MaxTests=*/1);
+    std::vector<InputVector> Pool = tcasTestPool(1600);
+    FailingTests Failing = segregateFailingTests(
+        goldenOutputs(*Golden, Pool, "main", tcasExecOptions()), *Faulty,
+        Pool, "main", tcasExecOptions(), /*MaxTests=*/1);
     EXPECT_EQ(Failing.Inputs.size(), 1u);
     TcasFailure R;
     R.Input = renderInputVector(Failing.Inputs[0]);
@@ -734,6 +736,48 @@ TEST(ServeSelfHealing, WatchdogEscalatesOverdueQueries) {
 
 namespace {
 
+/// Request fields of a localize query with no input: multiplication
+/// commutes, so the counterexample search has to refute the assert --
+/// tens of seconds of CDCL at 10 bits, unless something stops it.
+std::string commutesRequestFields() {
+  return "\"cmd\":\"localize\",\"bitwidth\":10,\"source\":\"" +
+         jsonEscape("int main(int x, int y) {\n  int a = x * y;\n"
+                    "  int b = y * x;\n  assert(a == b);\n  return a;\n}\n") +
+         "\"";
+}
+
+} // namespace
+
+TEST(ServeSelfHealing, CounterexampleSearchHonorsBudgetsAndWatchdog) {
+  // A conflict cap, a timeout, and (for the unbudgeted request) the
+  // watchdog must each stop the search: `incomplete` with the INCOMPLETE
+  // note, never "no spec violation found".
+  std::string Batch =
+      "{\"id\":\"capped\"," + commutesRequestFields() +
+      ",\"max_conflicts\":2000}\n" + "{\"id\":\"timed\"," +
+      commutesRequestFields() + ",\"timeout\":0.5}\n" +
+      "{\"id\":\"stuck\"," + commutesRequestFields() + "}\n";
+  ServeOptions SO;
+  SO.Threads = 1;
+  SO.WatchdogSeconds = 2;
+  Timer T;
+  LibRun R = runServeOpts(Batch, SO);
+  EXPECT_LT(T.seconds(), 30.0);
+  ASSERT_EQ(R.Frames.size(), 3u);
+  for (const Frame &F : R.Frames) {
+    EXPECT_EQ(F.Status, "incomplete") << F.Id;
+    EXPECT_EQ(F.Exit, 2) << F.Id;
+    EXPECT_EQ(F.Code, "budget-exhausted") << F.Id;
+    EXPECT_EQ(F.Body, "INCOMPLETE: resource budget exhausted before the "
+                      "counterexample search finished\n")
+        << F.Id;
+  }
+  EXPECT_EQ(R.Summary.Incomplete, 3u);
+  EXPECT_EQ(R.Summary.ExitCode, 2);
+}
+
+namespace {
+
 /// An istream buffer that serves a fixed prefix, then *blocks* on
 /// underflow until release() -- a stand-in for a daemon's idle stdin, so
 /// drain tests can interrupt a server that is mid-batch rather than one
@@ -816,6 +860,33 @@ TEST(ServeSelfHealing, DrainAnswersEveryAcceptedRequestExactlyOnce) {
   EXPECT_TRUE(Summary.Drained);
   EXPECT_EQ(Summary.Cancelled, 2u);
   EXPECT_EQ(Summary.Incomplete, 1u);
+  EXPECT_EQ(Summary.ExitCode, 2);
+}
+
+TEST(ServeSelfHealing, DrainInterruptsTheCounterexampleSearch) {
+  // The search's solver is in the flight table too, so a drain (the
+  // CLI's SIGTERM handler) stops it instead of waiting it out.
+  BlockingStringBuf Buf("{\"id\":\"bmc\"," + commutesRequestFields() +
+                        "}\n");
+  std::istream In(&Buf);
+  std::ostringstream Out, Err;
+  ServeOptions SO;
+  SO.Threads = 1;
+  LocalizeServer Server(SO);
+  ServeSummary Summary;
+  Timer T;
+  std::thread Runner([&] { Summary = Server.run(In, Out, Err); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  LocalizeServer::requestDrain();
+  Buf.release();
+  Runner.join();
+  EXPECT_LT(T.seconds(), 10.0);
+
+  std::vector<Frame> Frames = parseFrames(Out.str());
+  ASSERT_EQ(Frames.size(), 1u);
+  EXPECT_EQ(Frames[0].Status, "incomplete");
+  EXPECT_EQ(Frames[0].Code, "budget-exhausted");
+  EXPECT_TRUE(Summary.Drained);
   EXPECT_EQ(Summary.ExitCode, 2);
 }
 

@@ -157,7 +157,7 @@ TEST(Tcas, LocalizationPinpointsFigure2Fault) {
   S.GoldenReturn = Want;
   LocalizeOptions LO;
   LO.MaxDiagnoses = 32;
-  LocalizationReport R = Driver.localize(Failing, S, LO);
+  LocalizationReport R = localizeFault(Driver.formula(), Failing, S, LO);
   ASSERT_FALSE(R.Diagnoses.empty());
   EXPECT_TRUE(std::find(R.AllLines.begin(), R.AllLines.end(), BugLine) !=
               R.AllLines.end())
@@ -196,7 +196,7 @@ TEST(Tcas, LocalizationSampleAcrossVersions) {
     S.GoldenReturn = Want;
     LocalizeOptions LO;
     LO.MaxDiagnoses = 32;
-    LocalizationReport R = Driver.localize(Failing, S, LO);
+    LocalizationReport R = localizeFault(Driver.formula(), Failing, S, LO);
     ASSERT_FALSE(R.Diagnoses.empty()) << "v" << Version;
     bool Detected = false;
     for (uint32_t L : M.BugLines)

@@ -40,7 +40,7 @@ TEST(ValidCorrection, EveryReportedCoMSSIsACorrection) {
   auto P = compile(Src);
   BugAssistDriver Driver(*P, "main");
   InputVector Fail{InputValue::scalar(0)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   for (const Diagnosis &D : R.Diagnoses)
     EXPECT_TRUE(isValidCorrection(Driver.formula(), Fail, Spec{}, D.Lines))
@@ -59,7 +59,7 @@ TEST(ValidCorrection, CoMSSIsMinimal) {
   auto P = compile(Src);
   BugAssistDriver Driver(*P, "main");
   InputVector Fail{InputValue::scalar(0)};
-  LocalizationReport R = Driver.localize(Fail, Spec{});
+  LocalizationReport R = localizeFault(Driver.formula(), Fail, Spec{});
   ASSERT_FALSE(R.Diagnoses.empty());
   const Diagnosis &D = R.Diagnoses[0];
   ASSERT_EQ(D.Lines.size(), 2u);

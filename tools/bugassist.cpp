@@ -113,12 +113,11 @@ int cmdLocalize(const std::string &Path, const CommandOptions &O) {
   // diff clean against one-shot runs.
   std::string Body = renderLocalizeOutput(Res, O.Json);
   std::fwrite(Body.data(), 1, Body.size(), stdout);
-  if (Res.Status == PipelineStatus::NoCounterexample)
-    return 0;
-  if (O.Stats)
+  if (O.Stats && Res.Status == PipelineStatus::Localized)
     std::printf("%s", renderSearchStats(Res.Report).c_str());
-  // The partial report was still printed (INCOMPLETE-marked); the exit
-  // code tells scripts the enumeration did not finish.
+  // The partial output was still printed (INCOMPLETE-marked); the exit
+  // code tells scripts the counterexample search or the enumeration did
+  // not finish.
   return Res.Report.Incomplete ? ExitBudgetExhausted : ExitComplete;
 }
 
@@ -270,8 +269,7 @@ int cmdMaxsat(const std::string &Path, const CommandOptions &O) {
   bool FromWcnf = Parsed->Weighted;
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  // Fu-Malik ignores weights, so weighted instances force linear search.
-  bool Weighted = O.Engine == "linear" || (O.Engine == "auto" && AnyWeight);
+  bool Weighted = O.weightedEngine(AnyWeight);
   if (!Weighted && O.Engine == "fumalik" && AnyWeight)
     std::printf("c warning: fumalik engine ignores the non-unit weights\n");
   std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s, threads=%zu\n",
@@ -281,13 +279,8 @@ int cmdMaxsat(const std::string &Path, const CommandOptions &O) {
 
   Solver::Options SOpts;
   SOpts.Preprocess = L.Preprocess;
-  std::unique_ptr<MaxSatSession> Session;
-  if (L.Threads > 1)
-    Session = makePortfolioSession(Inst, Weighted, L.Threads,
-                                   /*ConflictBudget=*/0, SOpts);
-  else
-    Session = makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
-                                SOpts, /*Canonical=*/true);
+  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+      Inst, Weighted, L.Threads, /*ConflictBudget=*/0, SOpts);
   if (L.Budget.any())
     Session->setBudget(L.Budget.solverBudget());
   MaxSatResult R = Session->solve();
