@@ -7,6 +7,7 @@
 #include "lang/Parser.h"
 
 #include <optional>
+#include <string>
 
 using namespace bugassist;
 
@@ -46,6 +47,29 @@ private:
            check(TokenKind::KwVoid);
   }
 
+  // --- nesting cap ---------------------------------------------------------
+  // Every pass over the AST (sema, printing, unrolling, encoding,
+  // interpretation, destruction) recurses once per tree level, so the
+  // tree height is capped here, where it is built. Depth over-approximates
+  // the height of the node being parsed: one level per statement, per
+  // (sub)expression, per prefix operator or index, and per binary operator
+  // of a left-associative chain.
+  /// Restores Depth on scope exit, however the parse function returns.
+  struct DepthScope {
+    Parser &P;
+    unsigned Saved;
+    explicit DepthScope(Parser &P) : P(P), Saved(P.Depth) {}
+    ~DepthScope() { P.Depth = Saved; }
+  };
+  /// Descends one level; past the cap, reports a located error.
+  bool deeper(SourceLoc Loc) {
+    if (++Depth <= MaxNestingDepth)
+      return true;
+    Diags.error(Loc, "nesting too deep (the limit is " +
+                         std::to_string(MaxNestingDepth) + " levels)");
+    return false;
+  }
+
   // --- grammar -------------------------------------------------------------
   std::optional<Type> parseScalarType();
   std::unique_ptr<VarDecl> parseVarDecl(Type Base, bool AllowInit);
@@ -64,6 +88,7 @@ private:
   std::vector<Token> Tokens;
   DiagEngine &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;
 };
 
 /// Precedence table for binary operators; higher binds tighter.
@@ -258,6 +283,9 @@ StmtPtr Parser::parseSimpleAssignNoSemi() {
 
 StmtPtr Parser::parseStmt() {
   SourceLoc Loc = peek().Loc;
+  DepthScope Scope(*this);
+  if (!deeper(Loc))
+    return nullptr;
 
   if (check(TokenKind::LBrace))
     return parseBlock();
@@ -400,6 +428,9 @@ StmtPtr Parser::parseStmt() {
 }
 
 ExprPtr Parser::parseConditional() {
+  DepthScope Scope(*this);
+  if (!deeper(peek().Loc))
+    return nullptr;
   ExprPtr Cond = parseBinary(1);
   if (!Cond)
     return nullptr;
@@ -417,6 +448,7 @@ ExprPtr Parser::parseConditional() {
 }
 
 ExprPtr Parser::parseBinary(int MinPrec) {
+  DepthScope Scope(*this);
   ExprPtr Lhs = parseUnary();
   if (!Lhs)
     return nullptr;
@@ -425,6 +457,8 @@ ExprPtr Parser::parseBinary(int MinPrec) {
     if (Prec == 0 || Prec < MinPrec)
       return Lhs;
     Token OpTok = advance();
+    if (!deeper(OpTok.Loc)) // the new node sits one level above Lhs
+      return nullptr;
     ExprPtr Rhs = parseBinary(Prec + 1);
     if (!Rhs)
       return nullptr;
@@ -435,6 +469,11 @@ ExprPtr Parser::parseBinary(int MinPrec) {
 
 ExprPtr Parser::parseUnary() {
   SourceLoc Loc = peek().Loc;
+  DepthScope Scope(*this);
+  if ((check(TokenKind::Minus) || check(TokenKind::Bang) ||
+       check(TokenKind::Tilde)) &&
+      !deeper(Loc))
+    return nullptr;
   if (accept(TokenKind::Minus)) {
     ExprPtr E = parseUnary();
     return E ? std::make_unique<UnaryExpr>(UnaryOp::Neg, std::move(E), Loc)
@@ -454,12 +493,15 @@ ExprPtr Parser::parseUnary() {
 }
 
 ExprPtr Parser::parsePostfix() {
+  DepthScope Scope(*this);
   ExprPtr E = parsePrimary();
   if (!E)
     return nullptr;
   for (;;) {
     if (accept(TokenKind::LBracket)) {
       SourceLoc Loc = E->loc();
+      if (!deeper(Loc))
+        return nullptr;
       ExprPtr Index = parseExpr();
       if (!Index || !expect(TokenKind::RBracket, "after index"))
         return nullptr;

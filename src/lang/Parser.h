@@ -23,6 +23,13 @@
 
 namespace bugassist {
 
+/// Syntax-tree height cap: a statement or expression nested deeper than
+/// this is a located compile error ("nesting too deep"), so no later pass
+/// recursing over the tree can exhaust the stack. Far above what real
+/// programs use; at the cap, localize and repair need under half of an
+/// 8 MiB stack even in an ASan build.
+constexpr unsigned MaxNestingDepth = 256;
+
 /// Parses one translation unit. On syntax errors, diagnostics are reported
 /// and nullptr is returned.
 std::unique_ptr<Program> parseProgram(std::string_view Source,

@@ -74,8 +74,14 @@ public:
     for (Var V : Inst.Frozen)
       S.setFrozen(V, true);
     for (const SoftClause &SC : Inst.Soft)
-      for (Lit L : SC.Lits)
+      for (Lit L : SC.Lits) {
         S.setFrozen(L.var(), true);
+        if (L.var() < NumOrigVars)
+          SoftVars.push_back(L.var());
+      }
+    std::sort(SoftVars.begin(), SoftVars.end());
+    SoftVars.erase(std::unique(SoftVars.begin(), SoftVars.end()),
+                   SoftVars.end());
     for (const Clause &C : Inst.Hard)
       if (!S.addClause(C)) {
         HardBroken = true;
@@ -91,7 +97,7 @@ public:
       GuardOf.push_back(newGuard(GuardOf.size()));
       Clause Guarded = SC.Lits;
       Guarded.push_back(mkLit(GuardOf.back(), /*Negated=*/true));
-      if (!S.addClause(std::move(Guarded)))
+      if (!S.addClause(Guarded))
         HardBroken = true; // impossible while A is fresh; defensive only
     }
     PreferTrue = Inst.PreferTrue;
@@ -143,10 +149,16 @@ public:
       if (R == LBool::True) {
         Res.Status = MaxSatStatus::Optimum;
         Res.Model.resize(NumOrigVars);
+        if (Canonical && Rounds > 0) {
+          readSoftModel(Res.Model);
+          canonicalize(Assumptions, Res);
+        }
+        // The solver keeps the last True model, so one full read here
+        // equals the witness canonicalization ended on. (Soft variables
+        // are frozen, so the probes above never reconstruct eliminated
+        // variables; this read does, once.)
         for (Var V = 0; V < NumOrigVars; ++V)
           Res.Model[V] = S.modelValue(V);
-        if (Canonical && Rounds > 0)
-          canonicalize(Assumptions, Res);
         collectFalsifiedSoft(Soft, Res);
         // Fu-Malik invariant: relaxation rounds == optimal cost for unit
         // weights. Holds across incremental blocking clauses too, since
@@ -178,7 +190,7 @@ public:
       // guard is retired -- dropped from the assumptions and fixed false at
       // the root, which satisfies the superseded guarded copy so the solver
       // reclaims it -- and the relaxed copy goes in under a fresh guard.
-      ClauseSink Sink{[this](Clause C) { S.addClause(std::move(C)); },
+      ClauseSink Sink{[this](Clause C) { S.addClause(C); },
                       [this]() { return S.newVar(); }};
       std::vector<Lit> Relax;
       Relax.reserve(CoreSoft.size());
@@ -195,7 +207,7 @@ public:
         GuardOf[I] = newGuard(I);
         Clause Guarded = WorkingSoft[I];
         Guarded.push_back(mkLit(GuardOf[I], /*Negated=*/true));
-        S.addClause(std::move(Guarded));
+        S.addClause(Guarded);
       }
       encodeExactlyOne(Relax, Sink);
       ++Rounds;
@@ -244,8 +256,7 @@ private:
       ++Res.SatCalls;
       LBool R = S.solve(Assumptions);
       if (R == LBool::True)
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Res.Model[V] = S.modelValue(V);
+        readSoftModel(Res.Model);
       return R;
     };
     Hooks.SatisfyLit = [&](size_t J) { return satisfyLit(J); };
@@ -295,10 +306,18 @@ private:
       S.setFrozen(T, true); // assumed by later canonicalization probes
       Clause C = Soft[J].Lits;
       C.push_back(mkLit(T, /*Negated=*/true));
-      S.addClause(std::move(C));
+      S.addClause(C);
       SatisfySelector[J] = T;
     }
     return mkLit(SatisfySelector[J]);
+  }
+
+  /// Refreshes the soft-clause variables of \p Model from the solver's
+  /// last model: the only variables canonicalization reads of a probe
+  /// witness.
+  void readSoftModel(std::vector<LBool> &Model) const {
+    for (Var V : SoftVars)
+      Model[V] = S.modelValue(V);
   }
 
   Var newGuard(size_t SoftIdx) {
@@ -315,6 +334,7 @@ private:
   int NumOrigVars;
   std::vector<SoftClause> Soft;     ///< original soft clauses (for re-eval)
   std::vector<Var> PreferTrue;
+  std::vector<Var> SoftVars;        ///< distinct soft-clause vars < NumOrigVars
   std::vector<Clause> WorkingSoft;  ///< soft + accumulated relaxation lits
   std::vector<Var> GuardOf;         ///< soft idx -> live guard variable
   std::vector<int32_t> SoftIdxOfVar; ///< guard var -> soft idx, -1 otherwise

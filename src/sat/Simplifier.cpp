@@ -93,10 +93,8 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
       std::swap(CL[NonFalse++], CL[I]);
   }
   if (Satisfied) {
-    Arena[CR] = Lit::fromCode((static_cast<int32_t>(Size) << 3) |
-                              (header(CR) & 7) | FreedBit);
-    ArenaWasted += HeaderWords + Size;
-    ++Stats.ClausesRemoved;
+    setClauseSize(CR, Size);
+    markFreed(CR);
     return Ok;
   }
   ArenaWasted += Size - NonFalse;
@@ -108,9 +106,7 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
   }
   if (Size == 1) {
     Lit U = CL[0];
-    Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
-    ArenaWasted += HeaderWords + 1;
-    ++Stats.ClausesRemoved;
+    markFreed(CR);
     uncheckedEnqueue(U, InvalidClause);
     Ok = (propagate() == InvalidClause);
     return Ok;
@@ -119,18 +115,22 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
   return true;
 }
 
-void Solver::extendModel() {
-  // Walk the reconstruction stack backwards (see the ElimStack layout in
-  // Solver.h). For each stored clause: if no literal is true under the
-  // model, the leading literal (the eliminated variable's) is made true.
-  // SatELite's extension argument guarantees at most one side of an
-  // eliminated variable can be unsatisfied-by-the-rest, because the model
-  // satisfies every resolvent. The default unit additionally never
-  // overrides a value the search itself assigned (possible when a learnt
-  // clause over the variable propagated at the root between its
-  // elimination and the learnt sweep): such assignments are entailed, and
-  // entailment makes the stored side satisfied without the flip.
-  for (size_t I = ElimStack.size(); I > 0;) {
+void Solver::extendModel() const {
+  // Walk the reconstruction stack prefix of the pending model backwards
+  // (see the ElimStack layout in Solver.h). For each stored clause: if no
+  // literal is true under the model, the leading literal (the eliminated
+  // variable's) is made true. SatELite's extension argument guarantees at
+  // most one side of an eliminated variable can be unsatisfied-by-the-rest,
+  // because the model satisfies every resolvent. The default unit
+  // additionally never overrides a value the search itself assigned
+  // (possible when a learnt clause over the variable propagated at the
+  // root between its elimination and the learnt sweep): such assignments
+  // are entailed, and entailment makes the stored side satisfied without
+  // the flip.
+  if (!ModelPending)
+    return;
+  ModelPending = false;
+  for (size_t I = ModelElimEnd; I > 0;) {
     int32_t N = ElimStack[--I].code();
     assert(N >= 1 && static_cast<size_t>(N) <= I && "corrupt elim stack");
     size_t Begin = I - static_cast<size_t>(N);
@@ -150,6 +150,11 @@ void Solver::extendModel() {
     }
     I = Begin;
   }
+  // Every other variable is decided in a True result; default defensively
+  // so a model read never yields Undef.
+  for (LBool &B : Model)
+    if (B == LBool::Undef)
+      B = LBool::False;
 }
 
 // --- pass setup -------------------------------------------------------------
@@ -188,6 +193,7 @@ bool Simplifier::prepare() {
   if (!S.Ok)
     return false;
   TempFrozen.assign(S.numVars(), 0);
+  Mark.assign(2 * static_cast<size_t>(S.numVars()), 0);
   for (Lit L : S.CurAssumptions)
     TempFrozen[L.var()] = 1;
   collect();
@@ -403,7 +409,8 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
     return false; // root-fixed: its clauses simplify away instead
 
   // Gather the live occurrences, validated against the arena.
-  std::vector<int> Pos, Neg;
+  Pos.clear();
+  Neg.clear();
   for (int EI : Occ[V]) {
     if (Cs[EI].Dead || S.clauseFreed(Cs[EI].CR) || entrySatisfied(EI))
       continue;
@@ -423,23 +430,36 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
   if (!Forced && Pos.size() + Neg.size() > Lim.MaxOccurrences)
     return false;
 
-  // Count (and keep) the surviving resolvents; bail out as soon as the
-  // bounded-growth criterion fails. Tautological and root-satisfied
-  // resolvents do not count -- that asymmetry is what makes elimination
-  // fire on real encodings (Tseitin definitions resolve mostly to
-  // tautologies).
-  std::vector<std::vector<Lit>> Resolvents;
-  for (int PI : Pos) {
-    for (int NI : Neg) {
-      if (!resolve(PI, NI, V))
+  // Count (and keep, back to back in ResLits) the surviving resolvents;
+  // bail out as soon as the bounded-growth criterion fails. Tautological
+  // and root-satisfied resolvents do not count -- that asymmetry is what
+  // makes elimination fire on real encodings (Tseitin definitions resolve
+  // mostly to tautologies).
+  ResLits.clear();
+  ResEnds.clear();
+  bool Bounded = true;
+  for (size_t I = 0; I < Pos.size() && Bounded; ++I) {
+    // Every resolvent of this clause starts with the same side: collect
+    // and mark it once. A root-true literal satisfies them all.
+    size_t Base = markSide(Pos[I], mkLit(V));
+    if (Base == NoSide)
+      continue;
+    for (size_t J = 0; J < Neg.size(); ++J) {
+      if (!resolveWith(Neg[J], mkLit(V, true), Base))
         continue;
-      if (!Forced && Scratch.size() > Lim.MaxResolventSize)
-        return false;
-      Resolvents.push_back(Scratch);
-      if (!Forced && Resolvents.size() > Pos.size() + Neg.size())
-        return false;
+      if (!Forced && (Scratch.size() > Lim.MaxResolventSize ||
+                      ResEnds.size() == Pos.size() + Neg.size())) {
+        Bounded = false;
+        break;
+      }
+      ResLits.insert(ResLits.end(), Scratch.begin(), Scratch.end());
+      ResEnds.push_back(ResLits.size());
     }
+    for (size_t K = 0; K < Base; ++K)
+      Mark[Scratch[K].code()] = 0;
   }
+  if (!Bounded)
+    return false;
 
   // Commit. Order matters: capture the reconstruction clauses before the
   // originals are freed, free the originals before resolvents allocate
@@ -468,57 +488,72 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
     (void)Top;
     S.Activity[V] = 0.0;
   }
-  for (const auto &R : Resolvents) {
-    addResolvent(R);
+  size_t Begin = 0;
+  for (size_t End : ResEnds) {
+    // Sorted only now that they are kept: resolvent literal order fixes
+    // watch order, and so the search.
+    std::sort(ResLits.begin() + Begin, ResLits.begin() + End);
+    addResolvent(ResLits.data() + Begin, ResLits.data() + End);
+    Begin = End;
     if (!S.Ok)
       break;
   }
   return true;
 }
 
-bool Simplifier::resolve(int PI, int NI, Var V) {
+size_t Simplifier::markSide(int EI, Lit Pivot) {
   Scratch.clear();
-  auto Side = [&](int EI, Lit Pivot) -> bool {
-    const Entry &E = Cs[EI];
-    const Lit *CL = S.clauseLits(E.CR);
-    for (uint32_t I = 0; I < E.Size; ++I) {
-      Lit L = CL[I];
-      if (L == Pivot)
-        continue;
-      if (S.value(L) == LBool::True)
-        return false; // resolvent already satisfied at the root
-      if (S.value(L) == LBool::False)
-        continue; // root-false literals can never help
-      Scratch.push_back(L);
+  const Entry &E = Cs[EI];
+  const Lit *CL = S.clauseLits(E.CR);
+  for (uint32_t I = 0; I < E.Size; ++I) {
+    Lit L = CL[I];
+    if (L == Pivot)
+      continue;
+    LBool B = S.value(L);
+    if (B == LBool::True) { // root-satisfied
+      for (Lit M : Scratch)
+        Mark[M.code()] = 0;
+      return NoSide;
     }
-    return true;
-  };
-  if (!Side(PI, mkLit(V)) || !Side(NI, mkLit(V, true)))
-    return false;
-  std::sort(Scratch.begin(), Scratch.end());
-  size_t J = 0;
-  for (size_t I = 0; I < Scratch.size(); ++I) {
-    if (J > 0 && Scratch[I] == Scratch[J - 1])
-      continue; // duplicate
-    if (J > 0 && Scratch[I] == ~Scratch[J - 1])
-      return false; // tautology
-    Scratch[J++] = Scratch[I];
+    if (B == LBool::False)
+      continue; // root-false literals can never help
+    Mark[L.code()] = 1;
+    Scratch.push_back(L);
   }
-  Scratch.resize(J);
+  return Scratch.size();
+}
+
+bool Simplifier::resolveWith(int EI, Lit Pivot, size_t Base) {
+  // Problem clauses hold no duplicate or complementary literals, so only
+  // the marked first side can produce either.
+  Scratch.resize(Base);
+  const Entry &E = Cs[EI];
+  const Lit *CL = S.clauseLits(E.CR);
+  for (uint32_t I = 0; I < E.Size; ++I) {
+    Lit L = CL[I];
+    if (L == Pivot || Mark[L.code()])
+      continue; // the pivot, or a duplicate
+    LBool B = S.value(L);
+    if (B == LBool::True || Mark[(~L).code()])
+      return false; // root-satisfied or tautological
+    if (B == LBool::False)
+      continue;
+    Scratch.push_back(L);
+  }
   return true;
 }
 
-void Simplifier::addResolvent(const std::vector<Lit> &Lits) {
+void Simplifier::addResolvent(const Lit *Begin, const Lit *End) {
   // Units enqueued by an earlier resolvent may have touched this one:
   // re-simplify against the current root assignment (mirrors addClause;
   // the literals are already sorted, deduplicated, and non-tautological).
   Scratch.clear();
-  for (Lit L : Lits) {
-    if (S.value(L) == LBool::True)
+  for (const Lit *L = Begin; L != End; ++L) {
+    if (S.value(*L) == LBool::True)
       return; // satisfied meanwhile
-    if (S.value(L) == LBool::False)
+    if (S.value(*L) == LBool::False)
       continue;
-    Scratch.push_back(L);
+    Scratch.push_back(*L);
   }
   if (Scratch.empty()) {
     S.Ok = false; // the empty resolvent: root-level UNSAT

@@ -63,6 +63,7 @@
 
 #include "cnf/Lit.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -115,6 +116,13 @@ private:
   size_t QueueHead = 0;
   std::vector<char> InQueue;
   std::vector<Lit> Scratch; // resolvent / stored-clause assembly buffer
+  std::vector<char> Mark;   // by literal code: on the marked side
+  // tryEliminate's buffers, kept across candidates: the live occurrence
+  // sides, and the kept resolvents back to back (ResEnds[i] is the end of
+  // resolvent i in ResLits).
+  std::vector<int> Pos, Neg;
+  std::vector<Lit> ResLits;
+  std::vector<size_t> ResEnds;
   // Variables assumed by the in-flight solve() are frozen for this pass
   // only (the assumptions of *future* solves must be frozen by the caller).
   std::vector<char> TempFrozen;
@@ -141,11 +149,20 @@ private:
   /// One left-to-right BVE sweep over all variables. \returns eliminations.
   uint64_t bveSweep();
   bool tryEliminate(Var V, bool Forced);
-  /// Builds the resolvent of Cs[PI] and Cs[NI] on \p V into Scratch.
-  /// \returns false if tautological or root-satisfied (skip it).
-  bool resolve(int PI, int NI, Var V);
-  /// Installs a committed resolvent as a new problem clause + entry.
-  void addResolvent(const std::vector<Lit> &Lits);
+  /// Resolution on one pivot, in two steps. markSide puts the first
+  /// side's literals (minus \p Pivot and root-false ones) into Scratch and
+  /// marks them by code; \returns their count, or NoSide (nothing left
+  /// marked) if the side is root-satisfied. resolveWith truncates Scratch
+  /// to that count and appends the second side's new literals, giving the
+  /// resolvent unsorted and without duplicates; \returns false if it is
+  /// tautological or root-satisfied (skip it). The caller unmarks the
+  /// first side, Scratch[0, count).
+  static constexpr size_t NoSide = SIZE_MAX;
+  size_t markSide(int EI, Lit Pivot);
+  bool resolveWith(int EI, Lit Pivot, size_t Base);
+  /// Installs the committed resolvent [Begin, End) as a new problem clause
+  /// + entry.
+  void addResolvent(const Lit *Begin, const Lit *End);
   /// Pushes one side's clauses + the default unit for \p V (see
   /// Solver::ElimStack layout).
   void pushReconstruction(Var V, const std::vector<int> &StoredSide,

@@ -110,7 +110,7 @@ void Solver::ensureVars(int N) {
     newVar();
 }
 
-bool Solver::addClause(Clause C) {
+bool Solver::addClause(const Clause &C) {
   assert(decisionLevel() == 0 && "clauses must be added at the root level");
   if (!Ok)
     return false;
@@ -124,32 +124,37 @@ bool Solver::addClause(Clause C) {
           "frozen (Solver::setFrozen) before preprocessing runs");
   }
 
-  // Level-0 simplification: drop false literals, detect tautologies and
-  // duplicate literals.
-  std::sort(C.begin(), C.end());
-  Clause Simplified;
-  Lit Prev = NullLit;
-  for (Lit L : C) {
-    if (value(L) == LBool::True || L == ~Prev)
-      return true; // satisfied or tautological
-    if (value(L) == LBool::False || L == Prev)
-      continue; // falsified or duplicate literal
-    Simplified.push_back(L);
-    Prev = L;
-  }
-
-  if (Simplified.empty()) {
+  AddBuf.assign(C.begin(), C.end());
+  if (!simplifyAtRoot(AddBuf))
+    return true; // satisfied or tautological
+  if (AddBuf.empty()) {
     Ok = false;
     return false;
   }
-  if (Simplified.size() == 1) {
-    uncheckedEnqueue(Simplified[0], InvalidClause);
+  if (AddBuf.size() == 1) {
+    uncheckedEnqueue(AddBuf[0], InvalidClause);
     Ok = (propagate() == InvalidClause);
     return Ok;
   }
-  ClauseRef CR = allocClause(Simplified, /*Learnt=*/false);
+  ClauseRef CR = allocClause(AddBuf, /*Learnt=*/false);
   ProblemClauses.push_back(CR);
   attachClause(CR);
+  return true;
+}
+
+bool Solver::simplifyAtRoot(std::vector<Lit> &C) const {
+  std::sort(C.begin(), C.end());
+  size_t J = 0;
+  Lit Prev = NullLit;
+  for (Lit L : C) {
+    if (value(L) == LBool::True || L == ~Prev)
+      return false;
+    if (value(L) == LBool::False || L == Prev)
+      continue;
+    C[J++] = L;
+    Prev = L;
+  }
+  C.resize(J);
   return true;
 }
 
@@ -292,18 +297,23 @@ void Solver::removeClause(ClauseRef CR) {
   bool Binary = clauseSize(CR) == 2;
   smudgeWatches((~CL[0]).code(), Binary);
   smudgeWatches((~CL[1]).code(), Binary);
-  Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
-  ArenaWasted += HeaderWords + clauseSize(CR);
-  if (clauseLearnt(CR))
-    ++Stats.DeletedLearnts;
-  else
-    ++Stats.ClausesRemoved;
+  markFreed(CR);
   // Bound the backlog: a pass that frees most of a large formula would
   // otherwise hold every freed watcher (and grow lists with resolvents on
   // top of them) until it ends. One sweep per WatchDirty.size()/8 smudges
   // keeps the cost amortized O(1) per removal.
   if (DirtyCodes.size() * 8 > WatchDirty.size())
     cleanAllWatches(/*ReleaseEmpty=*/false);
+}
+
+void Solver::markFreed(ClauseRef CR) {
+  Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
+  ArenaWasted += HeaderWords + clauseSize(CR);
+  ++FreedClauses; // opens the root-scan gate (simplifyLevel0)
+  if (clauseLearnt(CR))
+    ++Stats.DeletedLearnts;
+  else
+    ++Stats.ClausesRemoved;
 }
 
 void Solver::cleanWatches(int32_t Code) {
@@ -839,15 +849,12 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
   }
 
   if (Result == LBool::True) {
+    // Eliminated variables never appear on the trail; modelValue restores
+    // them from the reconstruction stack prefix as it stands now, on the
+    // first read that needs it (extendModel).
     Model.assign(Assigns.begin(), Assigns.end());
-    // Eliminated variables never appear on the trail; restore them from the
-    // reconstruction stack before anything reads (or defaults) the model.
-    extendModel();
-    // Unassigned variables (possible when every clause was satisfied before
-    // full assignment never happens in this implementation, but be safe).
-    for (LBool &B : Model)
-      if (B == LBool::Undef)
-        B = LBool::False;
+    ModelPending = true;
+    ModelElimEnd = ElimStack.size();
   }
   cancelUntil(0);
   CurAssumptions.clear();
@@ -856,6 +863,14 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
 
 void Solver::simplifyLevel0() {
   assert(decisionLevel() == 0 && "simplify only at root");
+  // Gate: with no new root fact and no clause freed since the last scan,
+  // the scan below would find nothing to remove, trim, or compact --
+  // clauses added since were simplified against the same root, and
+  // learnts never hold root literals. (Root literals only ever append, and
+  // every scan ends with the root trail fully propagated.)
+  if (static_cast<int>(Trail.size()) == ScannedTrail &&
+      FreedClauses == ScannedFreed)
+    return;
   if (propagate() != InvalidClause) {
     Ok = false;
     return;
@@ -906,6 +921,8 @@ void Solver::simplifyLevel0() {
   SimplifySet(MidLearnts);
   SimplifySet(LocalLearnts);
   refreshTierGauges();
+  ScannedTrail = static_cast<int>(Trail.size());
+  ScannedFreed = FreedClauses;
 }
 
 void Solver::reduceDB() {
@@ -1037,6 +1054,14 @@ std::vector<uint32_t> Solver::learntLbds() const {
   return Lbds;
 }
 
+std::vector<Clause> Solver::problemClauses() const {
+  std::vector<Clause> Out;
+  for (ClauseRef CR : ProblemClauses)
+    if (!clauseFreed(CR))
+      Out.emplace_back(clauseLits(CR), clauseLits(CR) + clauseSize(CR));
+  return Out;
+}
+
 // --- portfolio clause exchange ----------------------------------------------
 
 void Solver::importSharedClauses() {
@@ -1054,39 +1079,29 @@ void Solver::importSharedClauses() {
     Ok = false;
 }
 
-void Solver::addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd) {
+void Solver::addImportedClause(std::vector<Lit> &Lits, uint32_t Lbd) {
   // Root-level simplification mirrors addClause, but the clause enters the
   // learnt tiers under its advertised LBD instead of the problem set: an
   // imported clause is a lemma, and the retention policy may drop it again.
-  std::vector<Lit> C(Lits);
-  for (Lit L : C) {
+  for (Lit L : Lits) {
     ensureVars(L.var() + 1);
     // The exchange prefix is structurally frozen, so foreign clauses never
     // mention eliminated variables; drop defensively rather than corrupt.
     if (ElimVars[L.var()])
       return;
   }
-  std::sort(C.begin(), C.end());
-  std::vector<Lit> Simplified;
-  Lit Prev = NullLit;
-  for (Lit L : C) {
-    if (value(L) == LBool::True || L == ~Prev)
-      return; // satisfied at the root or tautological
-    if (value(L) == LBool::False || L == Prev)
-      continue;
-    Simplified.push_back(L);
-    Prev = L;
-  }
-  if (Simplified.empty()) {
+  if (!simplifyAtRoot(Lits))
+    return; // satisfied at the root or tautological
+  if (Lits.empty()) {
     Ok = false; // shared clauses are implied: the formula is UNSAT
     return;
   }
   ++Stats.ClausesImported;
-  if (Simplified.size() == 1) {
-    uncheckedEnqueue(Simplified[0], InvalidClause);
+  if (Lits.size() == 1) {
+    uncheckedEnqueue(Lits[0], InvalidClause);
     return; // caller propagates after the batch
   }
-  ClauseRef CR = allocClause(Simplified, /*Learnt=*/true);
+  ClauseRef CR = allocClause(Lits, /*Learnt=*/true);
   pushLearnt(CR, std::max<uint32_t>(Lbd, 1));
   attachClause(CR);
 }

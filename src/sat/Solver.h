@@ -285,9 +285,10 @@ public:
 
   int numVars() const { return static_cast<int>(Assigns.size()); }
 
-  /// Adds a clause; performs level-0 simplification. \returns false if the
+  /// Adds a clause; performs level-0 simplification (in a reused buffer,
+  /// so adding allocates nothing beyond the arena). \returns false if the
   /// solver became trivially UNSAT (empty clause / conflicting units).
-  bool addClause(Clause C);
+  bool addClause(const Clause &C);
 
   /// Loads every hard clause of \p F (also allocating its variables).
   bool addFormula(const CnfFormula &F);
@@ -313,10 +314,19 @@ public:
   /// assumptions proved jointly inconsistent with the clauses.
   LBool solve(const std::vector<Lit> &Assumptions);
 
-  /// Model access after a True result.
-  LBool modelValue(Var V) const { return Model[V]; }
+  /// Model access after a True result. The values of eliminated variables
+  /// are reconstructed lazily, on the first read of one of them (see
+  /// extendModel), so a caller that reads only frozen variables never pays
+  /// for the reconstruction. That first read writes the solver's model
+  /// copy: read it on the thread that owns the solver, after solve()
+  /// returns, like every other solver state.
+  LBool modelValue(Var V) const {
+    if (ModelPending && (ElimVars[V] || Model[V] == LBool::Undef))
+      extendModel();
+    return Model[V];
+  }
   LBool modelValue(Lit L) const {
-    LBool B = Model[L.var()];
+    LBool B = modelValue(L.var());
     return L.negated() ? lboolNeg(B) : B;
   }
 
@@ -435,6 +445,12 @@ public:
   /// retention policy LBDs are still computed and reported.
   std::vector<uint32_t> learntLbds() const;
 
+  /// The live problem clauses (the loaded clauses as root-level
+  /// simplification and inprocessing left them, resolvents included; no
+  /// learnts), each in stored literal order. Introspection surface for
+  /// tests.
+  std::vector<Clause> problemClauses() const;
+
   /// Forces a learned-clause reduction with the configured retention
   /// policy. Must be called at the root level (between solve() calls);
   /// normally reductions trigger automatically during search.
@@ -487,8 +503,8 @@ public:
   }
 
   /// True once \p V has been eliminated by the simplifier. Eliminated
-  /// variables have no clause occurrences; their model values are restored
-  /// from the reconstruction stack before solve() returns True.
+  /// variables have no clause occurrences; modelValue restores their
+  /// values from the reconstruction stack.
   bool isEliminated(Var V) const {
     return V < static_cast<Var>(ElimVars.size()) && ElimVars[V] != 0;
   }
@@ -615,8 +631,13 @@ private:
   /// Cleans every dirty list; with \p ReleaseEmpty, also frees the
   /// capacity of every list left empty.
   void cleanAllWatches(bool ReleaseEmpty);
+  /// Root-level clause normalization shared by addClause and imports:
+  /// sorts \p C and compacts it in place, dropping root-false and
+  /// duplicate literals. \returns false (leaving \p C unspecified) if the
+  /// clause is root-satisfied or tautological.
+  bool simplifyAtRoot(std::vector<Lit> &C) const;
   void importSharedClauses();
-  void addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd);
+  void addImportedClause(std::vector<Lit> &Lits, uint32_t Lbd);
   /// The binary fast path never normalizes clause literals during
   /// propagation, so a binary reason clause may have the implied literal at
   /// either position; callers reading reasons positionally fix it up here.
@@ -632,7 +653,13 @@ private:
   void reduceDbActivity();
   void reduceDbTiers();
   void refreshTierGauges();
+  /// Root-level scan: drops satisfied clauses and trims root-false
+  /// literals. Gated: returns at once unless the root trail grew or a
+  /// clause was freed since the last scan (otherwise a scan is a no-op).
   void simplifyLevel0();
+  /// Marks \p CR freed and accounts its words as waste (no watch-list
+  /// work; callers detach or smudge).
+  void markFreed(ClauseRef CR);
   void checkGarbage();
   void garbageCollect();
 
@@ -642,9 +669,11 @@ private:
   /// collapsing to a unit is freed and its literal enqueued+propagated.
   /// \returns false if the solver became UNSAT.
   bool strengthenClause(ClauseRef CR, Lit L);
-  /// Restores eliminated variables in Model by walking the reconstruction
-  /// stack backwards (called on a True result before Model is defaulted).
-  void extendModel();
+  /// Completes a pending model: restores eliminated variables by walking
+  /// the reconstruction stack prefix [0, ModelElimEnd) backwards, then
+  /// defaults whatever is still unassigned to false. Runs at most once
+  /// per True result, from the first modelValue read that needs it.
+  void extendModel() const;
 
   // --- LBD / restart machinery -------------------------------------------
   uint32_t computeLbd(const Lit *Lits, uint32_t Size);
@@ -724,7 +753,8 @@ private:
   /// for each clause of the stored occurrence side [lits...] with the
   /// eliminated variable's literal FIRST followed by a size word
   /// Lit::fromCode(n), then a single default unit [lit][size word 1].
-  /// extendModel walks it backwards (MiniSAT's elimclauses layout).
+  /// extendModel walks it backwards (MiniSAT's elimclauses layout). It is
+  /// append-only: a pending model's prefix stays valid across later passes.
   std::vector<Lit> ElimStack;
   bool PreprocessedOnce = false;     // load-time pass already ran
   uint64_t LastInprocConflicts = 0;  // Stats.Conflicts at the last pass
@@ -733,9 +763,24 @@ private:
   std::vector<uint64_t> LbdStampOfLevel; // level -> last stamp that saw it
   uint64_t LbdStamp = 0;
 
+  // Root-scan gate (simplifyLevel0): the root trail size and the free
+  // count seen by the last scan. FreedClauses counts every clause freed
+  // (markFreed); the trail size starts at -1 so the first solve() scans.
+  int ScannedTrail = -1;
+  uint64_t ScannedFreed = 0;
+  uint64_t FreedClauses = 0;
+
+  std::vector<Lit> AddBuf; // addClause's simplification buffer
   std::vector<Lit> CurAssumptions;
   std::vector<Lit> ConflictCore;
-  std::vector<LBool> Model;
+  // The model of the last True result. While ModelPending, it is the raw
+  // assignment: eliminated variables are not reconstructed yet, and
+  // ModelElimEnd is the ElimStack size at that result (the stack only
+  // grows, so that prefix is exactly what an eager extension would have
+  // walked). modelValue completes it on demand.
+  mutable std::vector<LBool> Model;
+  mutable bool ModelPending = false;
+  size_t ModelElimEnd = 0;
 
   uint64_t ConflictBudget = 0;
   // Query-wide resource budget (see Budget above). The search loop keeps

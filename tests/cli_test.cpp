@@ -230,6 +230,27 @@ TEST(BugassistCli, LocalizeRejectsNonFailingInput) {
   std::remove(Prog.c_str());
 }
 
+TEST(BugassistCli, LocalizeRejectsTooDeepNestingWithoutASignal) {
+  // 20k nested parentheses or ifs used to overflow the stack (SIGSEGV);
+  // past the parser's nesting cap they are an ordinary compile error.
+  for (const std::string &Open : {std::string("("), std::string("if (x) ")}) {
+    std::string Body;
+    for (int I = 0; I < 20000; ++I)
+      Body += Open;
+    Body = Open == "(" ? "return " + Body + "x" + std::string(20000, ')') + ";"
+                      : Body + "x = 1; return x;";
+    std::string Prog = writeTempFile("int main(int x) { " + Body + " }\n");
+    int Exit = 0;
+    std::string Out = runCommand(Cli + " localize " + Prog +
+                                     " --input 1 --golden 0 2>&1 >/dev/null",
+                                 Exit);
+    EXPECT_TRUE(WIFEXITED(Exit)) << "killed by a signal: " << Open;
+    EXPECT_EQ(clitest::exitStatus(Exit), 1) << Open;
+    EXPECT_NE(Out.find("nesting too deep"), std::string::npos) << Out;
+    std::remove(Prog.c_str());
+  }
+}
+
 // --- sat / dump-tcas ----------------------------------------------------------
 
 TEST(BugassistCli, SatDecidesCheckedInInstances) {

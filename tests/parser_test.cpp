@@ -211,3 +211,51 @@ TEST(Parser, CloneMatchesOriginal) {
   auto Q = cloneProgram(*P);
   EXPECT_EQ(printProgram(*P), printProgram(*Q));
 }
+
+namespace {
+
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  for (unsigned I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// One program per nesting form, \p N levels deep.
+std::vector<std::string> nestedPrograms(unsigned N) {
+  return {
+      "int main(int x) { return " + repeat("(", N) + "x" + repeat(")", N) +
+          "; }",
+      "int main(int x) { int r = 0; " + repeat("if (x > 0) ", N) +
+          "r = 1; return r; }",
+      "int main(int x) { int r = 0; " + repeat("{", N) + "r = 1;" +
+          repeat("}", N) + " return r; }",
+      "int main(int x) { return " + repeat("-", N) + "x; }",
+      "int main(int x) { return x" + repeat(" + 1", N) + "; }",
+      "int main(int x) { return " + repeat("x > 0 ? 1 : ", N) + "0; }",
+      "int a[4]; int main(int x) { return a" + repeat("[0]", N) + "; }",
+  };
+}
+
+} // namespace
+
+TEST(Parser, NestingBelowTheCapParses) {
+  for (const std::string &Src : nestedPrograms(MaxNestingDepth - 8))
+    parseOk(Src);
+}
+
+TEST(Parser, NestingPastTheCapIsALocatedError) {
+  // 20k levels used to overflow the stack (SIGSEGV); past the cap every
+  // form is one located diagnostic, and nothing recurses that deep.
+  for (unsigned N : {MaxNestingDepth, 20000u})
+    for (const std::string &Src : nestedPrograms(N)) {
+      DiagEngine Diags;
+      EXPECT_EQ(parseProgram(Src, Diags), nullptr);
+      ASSERT_EQ(Diags.errorCount(), 1u) << Diags.render();
+      const Diag &D = Diags.diags().front();
+      EXPECT_NE(D.Message.find("nesting too deep"), std::string::npos)
+          << D.Message;
+      EXPECT_EQ(D.Loc.Line, 1u);
+      EXPECT_GT(D.Loc.Col, 1u);
+    }
+}

@@ -434,6 +434,47 @@ TEST(Solver, IncrementalStatePersistsAcrossSolves) {
   EXPECT_EQ(S.solve(Assumps), LBool::True);
 }
 
+// --- the gated root scan -----------------------------------------------------
+
+// solve() re-scans the clause database at the root only when a root fact
+// was added or a clause freed since the last scan. A retired selector
+// (releaseVar) and a unit clause are both new root facts: the clause the
+// first satisfies must be removed, and the literal the second falsifies
+// trimmed, at the very next solve.
+TEST(SolverRootScan, ReleaseVarAndUnitsBetweenSolvesStillTriggerTheScan) {
+  Solver::Options O;
+  O.Preprocess = false; // isolate the root scan from inprocessing
+  Solver S{O};
+  const Var A = 0, B = 1, C = 2, D = 3, G = 4;
+  S.ensureVars(5);
+  ASSERT_TRUE(S.addClause({mkLit(A), mkLit(B), mkLit(C)}));
+  ASSERT_TRUE(S.addClause({mkLit(B), mkLit(D)}));
+  ASSERT_TRUE(S.addClause({mkLit(C), mkLit(D), mkLit(G, true)})); // guarded
+  auto Sorted = [&] {
+    std::vector<Clause> Cs = S.problemClauses();
+    for (Clause &Cl : Cs)
+      std::sort(Cl.begin(), Cl.end());
+    std::sort(Cs.begin(), Cs.end());
+    return Cs;
+  };
+  ASSERT_EQ(S.solve({mkLit(G)}), LBool::True);
+  ASSERT_EQ(S.solve(), LBool::True); // nothing new: the database stands
+  EXPECT_EQ(S.problemClauses().size(), 3u);
+  uint64_t Removed = S.stats().ClausesRemoved;
+
+  ASSERT_TRUE(S.releaseVar(mkLit(G, true))); // the guarded clause is now true
+  ASSERT_EQ(S.solve(), LBool::True);
+  EXPECT_EQ(S.stats().ClausesRemoved, Removed + 1);
+  EXPECT_EQ(Sorted(), (std::vector<Clause>{{mkLit(A), mkLit(B), mkLit(C)},
+                                           {mkLit(B), mkLit(D)}}));
+
+  ASSERT_TRUE(S.addClause({mkLit(A, true)})); // falsifies a in (a b c)
+  ASSERT_EQ(S.solve(), LBool::True);
+  EXPECT_EQ(Sorted(), (std::vector<Clause>{{mkLit(B), mkLit(C)},
+                                           {mkLit(B), mkLit(D)}}));
+  EXPECT_EQ(S.modelValue(A), LBool::False);
+}
+
 // --- resource budgets --------------------------------------------------------
 
 namespace {

@@ -427,6 +427,41 @@ TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
   EXPECT_EQ(R.Summary.ExitCode, 1);
 }
 
+TEST(ServeCli, TooDeepNestingIsACompileErrorAndTheDaemonLives) {
+  // A program nested past the parser's cap used to crash the whole
+  // daemon; now it is one compile-error frame between two answered ones.
+  std::string Valid = "{\"id\":\"%s\",\"cmd\":\"sat\",\"cnf\":\"" +
+                      jsonEscape("p cnf 1 1\n1 0\n") + "\"}\n";
+  auto Sat = [&](const std::string &Id) {
+    std::string Line = Valid;
+    Line.replace(Line.find("%s"), 2, Id);
+    return Line;
+  };
+  std::string Deep = "int main(int x) { return " + std::string(20000, '(') +
+                     "x" + std::string(20000, ')') + "; }";
+  std::string Batch = writeTempFile(
+      Sat("before") + "{\"id\":\"deep\",\"cmd\":\"localize\",\"source\":\"" +
+      jsonEscape(Deep) + "\",\"input\":\"1\",\"golden\":0}\n" +
+      Sat("after"));
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " serve --batch " + Batch + " --threads 2 2>/dev/null", Exit);
+  EXPECT_TRUE(WIFEXITED(Exit)) << "serve killed by a signal";
+  EXPECT_EQ(exitStatus(Exit), 1); // one request failed
+  std::vector<Frame> Frames = parseFrames(Out);
+  ASSERT_EQ(Frames.size(), 3u) << Out;
+  EXPECT_EQ(Frames[0].Id, "before");
+  EXPECT_EQ(Frames[0].Status, "ok");
+  EXPECT_EQ(Frames[1].Id, "deep");
+  EXPECT_EQ(Frames[1].Status, "error");
+  EXPECT_EQ(Frames[1].Code, "compile-error");
+  EXPECT_NE(Frames[1].ErrorField.find("nesting too deep"), std::string::npos)
+      << Frames[1].ErrorField;
+  EXPECT_EQ(Frames[2].Id, "after");
+  EXPECT_EQ(Frames[2].Status, "ok");
+  std::remove(Batch.c_str());
+}
+
 // --- protocol details ---------------------------------------------------------
 
 TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {

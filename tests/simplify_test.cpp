@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -336,6 +337,244 @@ TEST(Simplify, CloneInheritsReconstructionStack) {
   EXPECT_TRUE(Copy.isEliminated(X));
   EXPECT_TRUE(modelSatisfies(
       Copy, {{mkLit(A), mkLit(X)}, {~mkLit(X), mkLit(B)}, {~mkLit(A)}}));
+}
+
+// --- lazy model extension ----------------------------------------------------
+
+namespace {
+
+/// A satisfiable CNF over \p NumVars variables: random 2- and 3-literal
+/// clauses, each kept only if a hidden assignment satisfies it.
+std::vector<Clause> plantedInstance(Rng &R, int NumVars, int NumClauses) {
+  std::vector<bool> Hidden(NumVars);
+  for (int V = 0; V < NumVars; ++V)
+    Hidden[V] = R.chance(1, 2);
+  std::vector<Clause> Cs;
+  while (static_cast<int>(Cs.size()) < NumClauses) {
+    Clause C = randomInstance(R, NumVars, 1, R.chance(1, 3) ? 2 : 3).front();
+    if (std::any_of(C.begin(), C.end(), [&](Lit L) {
+          return Hidden[L.var()] != L.negated();
+        }))
+      Cs.push_back(std::move(C));
+  }
+  return Cs;
+}
+
+std::vector<LBool> readModel(const Solver &S, int NumVars) {
+  std::vector<LBool> M;
+  for (Var V = 0; V < NumVars; ++V)
+    M.push_back(S.modelValue(V));
+  return M;
+}
+
+} // namespace
+
+// Eliminated variables are reconstructed on the first model read, from
+// the reconstruction-stack prefix of the True result. A read deferred past
+// later clause additions and a further inprocessing pass (which grows the
+// stack) must return exactly the model an immediate read returns, and
+// that model must satisfy every original clause.
+TEST(SimplifyLazyModel, DeferredReadEqualsImmediateRead) {
+  int WithEliminations = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    const int NumVars = 12 + static_cast<int>(R.below(9)); // <= 20
+    const int NumFrozen = 4;
+    std::vector<Clause> Cs = plantedInstance(R, NumVars, 3 * NumVars);
+    Solver S;
+    S.ensureVars(NumVars);
+    for (Var V = 0; V < NumFrozen; ++V)
+      S.setFrozen(V, true);
+    for (const Clause &C : Cs)
+      ASSERT_TRUE(S.addClause(C)) << "seed " << Seed;
+    ASSERT_EQ(S.solve(), LBool::True) << "seed " << Seed;
+    WithEliminations += S.stats().VarsEliminated > 0;
+
+    Solver Deferred = S; // copies the pending, unreconstructed model
+    std::vector<LBool> Immediate = readModel(S, NumVars);
+    ASSERT_TRUE(modelSatisfies(S, Cs)) << "seed " << Seed;
+
+    // Move the solver on before reading: a clause over the frozen prefix
+    // that the model falsifies, then another inprocessing pass.
+    Clause Block;
+    for (Var V = 0; V < NumFrozen; ++V)
+      Block.push_back(mkLit(V, Immediate[V] == LBool::True));
+    Deferred.addClause(Block);
+    Deferred.preprocess();
+    EXPECT_EQ(readModel(Deferred, NumVars), Immediate) << "seed " << Seed;
+
+    // The next solve answers like brute force and its model, read after
+    // the pass, satisfies everything so far.
+    std::vector<Clause> All = Cs;
+    All.push_back(Block);
+    LBool Next = Deferred.solve();
+    ASSERT_EQ(Next == LBool::True, bruteForceSat(NumVars, All))
+        << "seed " << Seed;
+    if (Next == LBool::True) {
+      EXPECT_TRUE(modelSatisfies(Deferred, All)) << "seed " << Seed;
+    }
+  }
+  EXPECT_GE(WithEliminations, 30) << "too few instances exercise elimination";
+}
+
+// --- resolvents against a naive reference -------------------------------------
+
+namespace {
+
+/// The resolvent of \p P (holding V) and \p N (holding ~V), computed
+/// naively: concatenate, drop the pivots and root-false literals, sort,
+/// dedupe. Empty optional when it is tautological or root-satisfied.
+std::optional<Clause> naiveResolvent(const Clause &P, const Clause &N, Var V,
+                                     const std::vector<LBool> &Root = {}) {
+  auto RootValue = [&](Lit L) {
+    if (L.var() >= static_cast<Var>(Root.size()))
+      return LBool::Undef;
+    LBool B = Root[L.var()];
+    return L.negated() ? lboolNeg(B) : B;
+  };
+  Clause Out;
+  for (const Clause *C : {&P, &N})
+    for (Lit L : *C) {
+      if (L.var() == V || RootValue(L) == LBool::False)
+        continue;
+      if (RootValue(L) == LBool::True)
+        return std::nullopt;
+      Out.push_back(L);
+    }
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  for (size_t I = 1; I < Out.size(); ++I)
+    if (Out[I] == ~Out[I - 1])
+      return std::nullopt;
+  return Out;
+}
+
+/// \p Clauses as a sorted list of sorted clauses (a multiset key).
+std::vector<Clause> normalized(std::vector<Clause> Clauses) {
+  for (Clause &C : Clauses)
+    std::sort(C.begin(), C.end());
+  std::sort(Clauses.begin(), Clauses.end());
+  return Clauses;
+}
+
+} // namespace
+
+TEST(SimplifyResolvent, EdgeCasesMatchTheNaiveResolvent) {
+  const Var X = 0, A = 1, B = 2, C = 3, D = 4, F = 5;
+  auto P = [](Var V) { return mkLit(V); };
+  auto N = [](Var V) { return mkLit(V, true); };
+  std::vector<LBool> RootFalseF(6, LBool::Undef), RootTrueF(6, LBool::Undef);
+  RootFalseF[F] = LBool::False;
+  RootTrueF[F] = LBool::True;
+  struct Case {
+    const char *Name;
+    std::vector<Clause> Clauses; ///< every clause mentions X
+    Lit Unit;                    ///< root fact added before elimination
+    std::vector<LBool> Root;
+  };
+  std::vector<Case> Cases = {
+      {"duplicate across the sides",
+       {{P(X), P(A), P(B)}, {N(X), P(A), P(C)}}, NullLit, {}},
+      {"tautology seen only on the second side",
+       {{P(X), P(A), P(B)}, {N(X), N(A), P(C)}, {N(X), P(D)}}, NullLit, {}},
+      {"root-false literal", {{P(X), P(A), P(B)}, {N(X), P(C), P(F)}},
+       N(F), RootFalseF},
+      {"root-true literal",
+       {{P(X), P(A), P(B)}, {N(X), P(C), P(F)}, {N(X), P(D)}}, P(F),
+       RootTrueF},
+  };
+  for (const Case &K : Cases) {
+    Solver S;
+    S.ensureVars(6);
+    for (const Clause &Cl : K.Clauses)
+      ASSERT_TRUE(S.addClause(Cl)) << K.Name;
+    if (K.Unit != NullLit) {
+      ASSERT_TRUE(S.addClause({K.Unit})) << K.Name;
+    }
+    ASSERT_TRUE(S.eliminateVar(X)) << K.Name;
+    std::vector<Clause> Expected;
+    for (const Clause &Pos : K.Clauses)
+      for (const Clause &Neg : K.Clauses)
+        if (std::count(Pos.begin(), Pos.end(), P(X)) &&
+            std::count(Neg.begin(), Neg.end(), N(X)))
+          if (auto R = naiveResolvent(Pos, Neg, X, K.Root))
+            Expected.push_back(*R);
+    EXPECT_EQ(normalized(S.problemClauses()), normalized(Expected)) << K.Name;
+  }
+}
+
+// A literal falsified in the middle of a pass (by a unit that
+// self-subsumption derived) must be dropped from the resolvents built
+// later in the same pass.
+TEST(SimplifyResolvent, InPassRootFalseLiteralIsDropped) {
+  Solver::Options O;
+  O.PreprocessMinClauses = 0; // tiny hand-built formula
+  Solver S{O};
+  const Var X = 0, A = 1, B = 2, C = 3, D = 4;
+  S.ensureVars(5);
+  for (Var V : {A, B, C, D})
+    S.setFrozen(V, true); // only X may go
+  Clause Pos = {mkLit(X), mkLit(A, true), mkLit(C)};
+  Clause Neg = {mkLit(X, true), mkLit(D)};
+  // (a \/ b) strengthens (a \/ ~b) to the unit a, falsifying ~a in Pos.
+  for (const Clause &Cl : {Clause{mkLit(A), mkLit(B)},
+                           Clause{mkLit(A), mkLit(B, true)}, Pos, Neg})
+    ASSERT_TRUE(S.addClause(Cl));
+  ASSERT_TRUE(S.preprocess());
+  ASSERT_TRUE(S.isEliminated(X));
+  std::vector<LBool> Root(5, LBool::Undef);
+  Root[A] = LBool::True;
+  std::optional<Clause> R = naiveResolvent(Pos, Neg, X, Root);
+  ASSERT_TRUE(R.has_value());
+  std::vector<Clause> Live = normalized(S.problemClauses());
+  EXPECT_NE(std::find(Live.begin(), Live.end(), *R), Live.end())
+      << "expected the resolvent (c \\/ d)";
+  for (const Clause &Cl : Live)
+    EXPECT_EQ(std::count(Cl.begin(), Cl.end(), mkLit(A, true)), 0)
+        << "a clause kept the root-false literal ~a";
+}
+
+// Forced eliminations on random formulas: the clause database afterwards
+// is exactly the untouched clauses plus the naive resolvents.
+TEST(SimplifyResolvent, RandomEliminationsMatchTheNaiveResolvents) {
+  int Checked = 0;
+  for (uint64_t Seed = 1; Seed <= 80; ++Seed) {
+    Rng R(Seed);
+    const int NumVars = 7;
+    Solver S;
+    S.ensureVars(NumVars);
+    bool Ok = true;
+    for (int I = 0; I < 14 && Ok; ++I)
+      Ok = S.addClause(
+          randomInstance(R, NumVars, 1, 2 + static_cast<int>(R.below(3)))
+              .front());
+    if (!Ok)
+      continue;
+    Var V = static_cast<Var>(R.below(NumVars));
+    std::vector<Clause> Before = S.problemClauses(), Expected, Pos, Neg;
+    for (const Clause &Cl : Before) {
+      if (std::count(Cl.begin(), Cl.end(), mkLit(V)))
+        Pos.push_back(Cl);
+      else if (std::count(Cl.begin(), Cl.end(), mkLit(V, true)))
+        Neg.push_back(Cl);
+      else
+        Expected.push_back(Cl);
+    }
+    bool HasUnit = false;
+    for (const Clause &PC : Pos)
+      for (const Clause &NC : Neg)
+        if (auto Res = naiveResolvent(PC, NC, V)) {
+          HasUnit |= Res->size() <= 1; // would propagate, not be stored
+          Expected.push_back(*Res);
+        }
+    if (HasUnit)
+      continue;
+    ASSERT_TRUE(S.eliminateVar(V)) << "seed " << Seed;
+    EXPECT_EQ(normalized(S.problemClauses()), normalized(Expected))
+        << "seed " << Seed;
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 40);
 }
 
 // --- the frozen-variable contract --------------------------------------------
