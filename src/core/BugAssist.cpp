@@ -91,8 +91,12 @@ LocalizationReport bugassist::enumerateCoMSSes(MaxSatSession &Session,
   }
 
   Report.AllLines.assign(AllLines.begin(), AllLines.end());
-  if (auto *Portfolio = dynamic_cast<PortfolioSession *>(&Session))
-    Report.PortfolioWins = Portfolio->portfolioStats().WinsByWorker;
+  if (auto *Portfolio = dynamic_cast<PortfolioSession *>(&Session)) {
+    const PortfolioStats &PS = Portfolio->portfolioStats();
+    Report.PortfolioWins = PS.WinsByWorker;
+    Report.HelpersStarted = PS.HelpersStarted;
+    Report.HelpersSkipped = PS.HelpersSkipped;
+  }
   return Report;
 }
 

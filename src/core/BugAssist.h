@@ -72,6 +72,10 @@ struct LocalizationReport {
   SolverStats Search;
   /// Portfolio runs only: races won per worker (empty when Threads == 1).
   std::vector<uint64_t> PortfolioWins;
+  /// Portfolio runs only: helper workers that solved / were skipped
+  /// because the round was decided first (PortfolioStats).
+  uint64_t HelpersStarted = 0;
+  uint64_t HelpersSkipped = 0;
 };
 
 /// A query-wide resource budget, 0 = unlimited for each knob. It covers a
@@ -133,8 +137,8 @@ struct LocalizeOptions {
 /// width and per-call budget apply (Opts.Threads/Weighted/ConflictBudget
 /// only matter where the session is built). Sessions canonicalize their
 /// optima, so the report depends only on the formula, never on which
-/// session produced it. Fills PortfolioWins when \p Session is a
-/// PortfolioSession. The session is consumed (blocking clauses
+/// session produced it. Fills PortfolioWins and the helper counters when
+/// \p Session is a PortfolioSession. The session is consumed (blocking clauses
 /// accumulate).
 LocalizationReport enumerateCoMSSes(MaxSatSession &Session,
                                     const CnfFormula &F,

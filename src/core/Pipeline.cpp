@@ -488,6 +488,8 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
     for (uint64_t W : R.PortfolioWins)
       Out += ' ' + std::to_string(W);
     Out += '\n';
+    Out += "race helpers: " + std::to_string(R.HelpersStarted) +
+           " started, " + std::to_string(R.HelpersSkipped) + " skipped\n";
   }
   return Out;
 }

@@ -2,13 +2,22 @@
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
-// Racing protocol: every worker runs on its own thread; the first thread
-// whose session produces a decided result (not Unknown) takes the win
-// under the race mutex and interrupts everyone else. Losers return
-// promptly (Solver::interrupt is polled once per search iteration), their
-// sessions stay internally consistent, and all threads are joined before
-// solve() returns -- so between rounds the portfolio is single-threaded
-// and the exchange cursors, stats, and session state can be read freely.
+// Racing protocol: worker 0 runs inline on the calling thread; workers
+// 1..N-1 are helper tasks forked onto the process-wide WorkerPool, so no
+// thread is created per call. The first worker whose session produces a
+// decided result (not Unknown) takes the win under the race mutex and
+// interrupts everyone else. Losers return promptly (Solver::interrupt is
+// polled once per search iteration), their sessions stay internally
+// consistent, and the task group is joined before solve() returns -- so
+// between rounds the portfolio is single-threaded and the exchange
+// cursors, stats, and session state can be read freely.
+//
+// Skip rule: a helper that has not started when the round is decided is
+// cancelled (or, if a lane picks it up anyway, returns before solving).
+// It counts as a loser interrupted before its first step: its session
+// already holds every broadcast clause, so it resumes consistently next
+// round. When the pool's lanes are all busy this is the common case, and
+// the race costs worker 0's solve plus a queue push per helper.
 //
 // A decided loser result is impossible by construction: a worker is only
 // interrupted after the winner claimed the race, so any later-finishing
@@ -17,22 +26,23 @@
 // bounds are merged deterministically (see PortfolioSession::solve).
 //
 // Fault isolation and self-healing: an exception escaping a worker's
-// solve() is caught at the thread boundary. The crashed worker is retired
-// -- its engine state is indeterminate mid-solve -- and the round
-// continues on the survivors. The *next* solve() rebuilds every retired
-// worker from the stored construction inputs plus the addHardClause
-// broadcasts so far (respawnRetired), so a transient fault costs one
-// round of parallelism, not the session's lifetime.
+// solve() is caught at the task boundary (inline or pooled alike). The
+// crashed worker is retired -- its engine state is indeterminate
+// mid-solve -- and the round continues on the survivors. The *next*
+// solve() rebuilds every retired worker from the stored construction
+// inputs plus the addHardClause broadcasts so far (respawnRetired), so a
+// transient fault costs one round of parallelism, not the session's
+// lifetime.
 //
 //===----------------------------------------------------------------------===//
 
 #include "maxsat/Portfolio.h"
 
 #include "sat/Solver.h"
+#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 using namespace bugassist;
 
@@ -150,6 +160,24 @@ void installShareHooks(Solver &S, ClauseExchange &Ex, size_t Id,
       ShareVarLimit);
 }
 
+/// The race shape of both entry points: Body(0) runs on the calling
+/// thread, Body(1..N-1) are helper tasks on the shared pool, grown to
+/// N - 1 threads if it is narrower. If the race is Decided() when worker
+/// 0 returns, the helpers no lane has started are cancelled (the skip
+/// rule). Body must not throw.
+/// \returns how many helpers were cancelled.
+template <typename BodyFn, typename DecidedFn>
+size_t raceOnPool(size_t N, const BodyFn &Body, const DecidedFn &Decided) {
+  WorkerPool::global().reserve(N - 1);
+  TaskGroup Helpers;
+  for (size_t Id = 1; Id < N; ++Id)
+    Helpers.fork([&Body, Id] { Body(Id); });
+  Body(0);
+  size_t Cancelled = Decided() ? Helpers.cancel() : 0;
+  Helpers.wait();
+  return Cancelled;
+}
+
 } // namespace
 
 // --- plain-SAT racing -------------------------------------------------------
@@ -204,6 +232,11 @@ SatRaceResult bugassist::racePortfolioSat(const std::vector<Clause> &Clauses,
     std::mutex RaceM;
     int Winner = -1;
     auto Body = [&](size_t Id) {
+      {
+        std::lock_guard<std::mutex> G(RaceM);
+        if (Winner >= 0)
+          return; // skipped: the race was decided before this one started
+      }
       LBool R = LBool::Undef;
       try {
         R = Solvers[Id]->solve();
@@ -224,16 +257,14 @@ SatRaceResult bugassist::racePortfolioSat(const std::vector<Clause> &Clauses,
             Solvers[J]->interrupt();
       }
     };
-    std::vector<std::thread> Pool;
-    Pool.reserve(N);
-    for (size_t Id = 0; Id < N; ++Id)
-      Pool.emplace_back(Body, Id);
-    for (std::thread &T : Pool)
-      T.join();
+    raceOnPool(N, Body, [&] {
+      std::lock_guard<std::mutex> G(RaceM);
+      return Winner >= 0;
+    });
     Race.Winner = Winner;
   }
 
-  // All threads are joined: reading the winner's model is race-free.
+  // All helpers are joined: reading the winner's model is race-free.
   if (Race.Result == LBool::True && Race.Winner >= 0) {
     const Solver &W = *Solvers[static_cast<size_t>(Race.Winner)];
     Race.Model.reserve(static_cast<size_t>(NumVars));
@@ -341,9 +372,9 @@ MaxSatResult PortfolioSession::solve() {
     if (PStats.LastWinner == 0)
       ++PStats.WinsByWorker[0];
   } else {
-    for (size_t Id = 0; Id < Workers.size(); ++Id)
-      if (!Retired[Id])
-        Workers[Id]->solver().clearInterrupt();
+    // respawnRetired left every worker alive.
+    for (auto &W : Workers)
+      W->solver().clearInterrupt();
 
     std::mutex RaceM;
     int Winner = -1;
@@ -352,6 +383,14 @@ MaxSatResult PortfolioSession::solve() {
     std::vector<MaxSatResult> Round(Workers.size());
     std::vector<char> HaveResult(Workers.size(), 0);
     auto Body = [&](size_t Id) {
+      if (Id > 0) {
+        std::lock_guard<std::mutex> G(RaceM);
+        if (Winner >= 0) {
+          ++PStats.HelpersSkipped; // the round was decided before it began
+          return;
+        }
+        ++PStats.HelpersStarted;
+      }
       MaxSatResult R;
       try {
         R = Workers[Id]->solve();
@@ -384,13 +423,11 @@ MaxSatResult PortfolioSession::solve() {
         HaveResult[Id] = 1;
       }
     };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers.size());
-    for (size_t Id = 0; Id < Workers.size(); ++Id)
-      if (!Retired[Id])
-        Pool.emplace_back(Body, Id);
-    for (std::thread &T : Pool)
-      T.join();
+    size_t Cancelled = raceOnPool(Workers.size(), Body, [&] {
+      std::lock_guard<std::mutex> G(RaceM);
+      return Winner >= 0;
+    });
+    PStats.HelpersSkipped += Cancelled; // after the join: no helper runs
 
     for (size_t Id = 0; Id < Workers.size(); ++Id)
       if (!Retired[Id])

@@ -8,7 +8,10 @@
 /// A multi-threaded portfolio in the ManySAT / Glucose-syrup tradition:
 /// N diversified solvers race on the same problem, the first answer wins,
 /// the losers are cancelled cooperatively (Solver::interrupt), and workers
-/// share low-LBD learnt clauses through a bounded exchange buffer.
+/// share low-LBD learnt clauses through a bounded exchange buffer. Worker 0
+/// runs on the calling thread; the others are tasks on the process-wide
+/// WorkerPool (support/WorkerPool.h), and a helper still queued when the
+/// race is decided never runs.
 ///
 /// Two entry points:
 ///
@@ -121,18 +124,19 @@ struct SatRaceResult {
   std::vector<LBool> Model;
   SolverStats Aggregate; ///< summed over all workers (incl. export/import)
   std::vector<SolverStats> PerWorker;
-  /// Workers whose thread died on an escaped exception (fault-isolated;
-  /// the race continued on the survivors).
+  /// Workers that died on an escaped exception (fault-isolated; the race
+  /// continued on the survivors).
   uint64_t Faults = 0;
 };
 
 /// Races \p Threads diversified solvers over \p Clauses; first decision
-/// wins and interrupts the rest. With Threads <= 1 this degenerates to a
-/// plain single solver on the calling thread. A non-unlimited \p Bud is
-/// installed on every worker; when all survivors exhaust it the race
-/// returns Undef instead of running forever. A worker thread that dies on
-/// an exception (std::bad_alloc, an injected fault) is retired and counted
-/// in SatRaceResult::Faults; the race continues on the rest.
+/// wins, interrupts the rest, and cancels those not yet started. With
+/// Threads <= 1 this degenerates to a plain single solver on the calling
+/// thread. A non-unlimited \p Bud is installed on every worker; when all
+/// survivors exhaust it the race returns Undef instead of running
+/// forever. A worker that dies on an exception (std::bad_alloc, an
+/// injected fault) is retired and counted in SatRaceResult::Faults; the
+/// race continues on the rest.
 SatRaceResult
 racePortfolioSat(const std::vector<Clause> &Clauses, int NumVars,
                  size_t Threads,
@@ -152,18 +156,25 @@ struct PortfolioStats {
   /// between rounds, so a transient fault costs one round of parallelism,
   /// not the session's lifetime.
   uint64_t WorkerRespawns = 0;
+  /// Helper workers (1..N-1) that solved in a round, summed over rounds.
+  uint64_t HelpersStarted = 0;
+  /// Helper workers that never solved in a round: the race was decided
+  /// (almost always by worker 0 on the calling thread) before a free pool
+  /// lane took them.
+  uint64_t HelpersSkipped = 0;
 };
 
 /// N racing persistent MaxSAT sessions behind the MaxSatSession interface.
 ///
-/// Threading contract: solve() spawns one thread per worker and joins all
-/// of them before returning, so *between* calls the portfolio is plain
+/// Threading contract: solve() runs worker 0 on the calling thread and
+/// forks workers 1..N-1 onto the shared WorkerPool, and joins them all
+/// before returning, so *between* calls the portfolio is plain
 /// single-threaded state -- addHardClause, stats, and portfolioStats must
 /// only be used between solves (the MaxSatSession one-caller rule).
 /// Because addHardClause broadcasts to every worker before any further
 /// solve, all workers always optimize the same formula; an interrupted
-/// loser resumes from consistent engine state on the next round rather
-/// than restarting.
+/// loser -- or a helper skipped before its first step -- resumes from
+/// consistent engine state on the next round rather than restarting.
 class PortfolioSession final : public MaxSatSession {
 public:
   /// \p Threads workers race each solve(); \p Base seeds the
@@ -176,9 +187,10 @@ public:
                    const Solver::Options &Base = Solver::Options());
   ~PortfolioSession() override;
 
-  /// Races all workers; the first Optimum/HardUnsat answer wins and the
-  /// losers are interrupted (their sessions stay consistent and resume on
-  /// the next round). Result::Search carries the aggregated stats.
+  /// Races all workers; the first Optimum/HardUnsat answer wins, the
+  /// losers are interrupted and helpers not yet started are skipped
+  /// (their sessions stay consistent and resume on the next round).
+  /// Result::Search carries the aggregated stats.
   ///
   /// Self-healing: workers retired by a crash in an earlier round are
   /// rebuilt first -- a fresh session over the stored instance plus every

@@ -11,19 +11,23 @@
 ///
 ///  1. segregates failing tests against the golden version (Section 6.1);
 ///  2. localizes one failing test three times -- single-threaded,
-///     portfolio width K, and with preprocessing disabled -- and asserts
-///     the three canonical reports are byte-identical (any divergence is
-///     a determinism bug in the portfolio/canonicalizer/preprocessor, and
+///     portfolio width K, and with preprocessing disabled (twice at K = 1,
+///     where the width-K run would repeat the first) -- and asserts the
+///     canonical reports are byte-identical (any divergence is a
+///     determinism bug in the portfolio/canonicalizer/preprocessor, and
 ///     is surfaced as a mismatch, never swallowed);
 ///  3. scores whether the ground-truth fault line appears in the
 ///     diagnosis (Table 1's "hit");
 ///  4. on hits, attempts Algorithm 2 repair through the pooled
 ///     repairProgram path and counts validated fixes.
 ///
-/// Results aggregate into a Table-1-style per-fault-class scorecard whose
-/// JSON rendering is canonical: same subject + options => byte-identical
-/// scorecard (the fuzz-smoke CI job diffs it against a checked-in
-/// expectation).
+/// Mutants are independent, so up to K of them are judged at once on the
+/// shared WorkerPool, whose K - 1 threads also run the width-K races'
+/// helpers. Results aggregate, in mutant order, into a Table-1-style
+/// per-fault-class scorecard whose JSON rendering is canonical: same
+/// subject + options => byte-identical scorecard at every K apart from
+/// its "threads" line (the fuzz-smoke CI job diffs it against a
+/// checked-in expectation).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +67,8 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   /// Mutants to generate.
   size_t Count = 100;
-  /// The K in the width-1-vs-K differential (also the serve-parity width).
+  /// The K in the width-1-vs-K differential (also the serve-parity
+  /// width), and the number of mutants judged at once.
   int Threads = 4;
   size_t MaxDiagnoses = 8;
   /// Failing tests kept per mutant (screening depth for repair).
@@ -95,11 +100,14 @@ struct FuzzResult {
   std::array<FuzzClassStats, NumErrorTypes> PerClass;
   size_t Generated = 0;
   size_t TotalMismatches = 0;
-  /// One human-readable note per mismatch (mutant description + configs).
+  /// One human-readable note per mismatch (mutant description + configs),
+  /// in mutant order.
   std::vector<std::string> MismatchNotes;
 };
 
-/// Optional progress hook: called after each mutant with (done, total).
+/// Optional progress hook: called once per judged mutant with (done,
+/// total). Calls come from any lane but never overlap, and done counts
+/// 1, 2, ..., total in call order.
 using FuzzProgress = std::function<void(size_t, size_t)>;
 
 /// Runs the sweep. Deterministic: same subject + options => same result

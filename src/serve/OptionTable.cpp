@@ -157,7 +157,8 @@ const std::vector<OptionSpec> Rows = {
      "test-pool size (default: 400 tcas, 256 file)", SET(O.Pool = V.Uint), 1,
      1000000},
     {"--threads", nullptr, K::Integer, Fuz, None, "N",
-     "the K in the 1-vs-K differential (default: 4)",
+     "the K in the 1-vs-K differential and mutants judged at once "
+     "(default: 4)",
      SET(O.Fuzz.Threads = static_cast<int>(V.Uint)), 1, 64},
     {"--classes", nullptr, K::List, Fuz, None, "a,b,..",
      "restrict to these fault classes (default: all)",

@@ -7,8 +7,9 @@
 // mutant is diagnosed under three configurations (threads=1, threads=K,
 // preprocessing off) inside runFuzzSweep, which byte-compares the
 // canonical reports; any mismatch is a test failure, not a warning. The
-// per-class tallies must also be identical no matter which K is used, and
-// repairs the sweep machinery accepts must re-verify clean under BMC.
+// scorecard must also be identical no matter which K is used (K is both
+// the portfolio width and the number of mutants in flight), and repairs
+// the sweep machinery accepts must re-verify clean under BMC.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,25 +50,56 @@ bool sameTallies(const FuzzResult &A, const FuzzResult &B) {
   return A.Generated == B.Generated;
 }
 
+FuzzSubject tcasSubject(const Program &Base, size_t PoolSize) {
+  FuzzSubject Subject;
+  Subject.Base = &Base;
+  Subject.Name = "tcas";
+  Subject.Unroll = tcasUnrollOptions();
+  Subject.CheckObligations = false;
+  Subject.Pool = tcasTestPool(PoolSize);
+  Subject.ProtectedLines = Subject.Unroll.HardLines;
+  return Subject;
+}
+
+/// The scorecard without its "threads" line, the one line K may change.
+std::string scorecardBody(const FuzzSubject &Subject, const FuzzOptions &Opts,
+                          const FuzzResult &R) {
+  const std::string Threads = "  \"threads\": ";
+  std::string Card = renderFuzzScorecard(Subject, Opts, R), Out;
+  size_t Pos = 0;
+  while (Pos < Card.size()) {
+    size_t End = Card.find('\n', Pos);
+    End = End == std::string::npos ? Card.size() : End + 1;
+    if (Card.compare(Pos, Threads.size(), Threads) != 0)
+      Out.append(Card, Pos, End - Pos);
+    Pos = End;
+  }
+  return Out;
+}
+
 } // namespace
 
 TEST(FuzzDifferential, TcasSweepIsMismatchFreeAndWidthInvariant) {
   auto Base = compile(tcasSource());
-  FuzzSubject Subject;
-  Subject.Base = Base.get();
-  Subject.Name = "tcas";
-  Subject.Unroll = tcasUnrollOptions();
-  Subject.CheckObligations = false;
-  Subject.Pool = tcasTestPool(300);
-  Subject.ProtectedLines = Subject.Unroll.HardLines;
+  FuzzSubject Subject = tcasSubject(*Base, 300);
 
   FuzzOptions Opts;
   Opts.Seed = 1;
   Opts.Count = 60;
   Opts.Threads = 4;
-  FuzzResult R4 = runFuzzSweep(Subject, Opts);
+  // Up to four mutants are judged at once; progress still counts 1..N,
+  // one call per mutant.
+  std::vector<std::pair<size_t, size_t>> Calls;
+  FuzzResult R4 = runFuzzSweep(Subject, Opts, [&](size_t Done, size_t Total) {
+    Calls.emplace_back(Done, Total);
+  });
   EXPECT_EQ(R4.Generated, 60u);
   expectNoMismatches(R4);
+  ASSERT_EQ(Calls.size(), R4.Generated);
+  for (size_t I = 0; I < Calls.size(); ++I) {
+    EXPECT_EQ(Calls[I].first, I + 1);
+    EXPECT_EQ(Calls[I].second, R4.Generated);
+  }
 
   // Some mutants must actually exercise the full path, or the
   // differential is vacuous.
@@ -79,16 +111,46 @@ TEST(FuzzDifferential, TcasSweepIsMismatchFreeAndWidthInvariant) {
   EXPECT_GT(Failing, 10u);
   EXPECT_GT(Hits, 5u);
 
-  // The scorecard is derived entirely from the threads=1 run, so the
-  // width used for the differential twin must not change a single tally.
-  Opts.Threads = 2;
-  FuzzResult R2 = runFuzzSweep(Subject, Opts);
-  expectNoMismatches(R2);
-  EXPECT_TRUE(sameTallies(R4, R2)) << "tallies depend on the thread width";
+  // The scorecard is derived entirely from the threads=1 run and merged
+  // in mutant order, so neither the width of the differential twin nor
+  // the number of mutants in flight may change a byte of it (bar the
+  // "threads" line) or the order of the mismatch notes.
+  const std::string Card4 = scorecardBody(Subject, Opts, R4);
+  for (int K : {2, 1}) {
+    Opts.Threads = K;
+    FuzzResult R = runFuzzSweep(Subject, Opts);
+    expectNoMismatches(R);
+    EXPECT_TRUE(sameTallies(R4, R)) << "tallies depend on width " << K;
+    EXPECT_EQ(scorecardBody(Subject, Opts, R), Card4) << "width " << K;
+    EXPECT_EQ(R.MismatchNotes, R4.MismatchNotes) << "width " << K;
+  }
 
   // Same seed, same options => the sweep itself is deterministic.
+  Opts.Threads = 2;
+  FuzzResult R2 = runFuzzSweep(Subject, Opts);
   FuzzResult R2b = runFuzzSweep(Subject, Opts);
   EXPECT_TRUE(sameTallies(R2, R2b)) << "sweep is not deterministic";
+}
+
+TEST(FuzzDifferential, SingleMutantSweepsRaceAtFullWidth) {
+  // With one mutant per sweep the other lanes are idle, so the width-4
+  // config's helpers really start and the race is contested -- unlike a
+  // full sweep, where busy lanes mostly leave worker 0 racing alone.
+  auto Base = compile(tcasSource());
+  FuzzSubject Subject = tcasSubject(*Base, 300);
+  FuzzOptions Opts;
+  Opts.Count = 1;
+  Opts.Threads = 4;
+  size_t Localized = 0;
+  for (uint64_t Seed = 101; Seed <= 120; ++Seed) {
+    Opts.Seed = Seed;
+    FuzzResult R = runFuzzSweep(Subject, Opts);
+    EXPECT_EQ(R.Generated, 1u) << "seed " << Seed;
+    expectNoMismatches(R);
+    for (const FuzzClassStats &Row : R.PerClass)
+      Localized += Row.Failing;
+  }
+  EXPECT_GT(Localized, 5u) << "too few sweeps reached the differential";
 }
 
 TEST(FuzzDifferential, Program1SweepIsMismatchFree) {

@@ -8,7 +8,8 @@
 // solver refutes with fewer conflicts than an isolated twin), raced
 // plain-SAT agreement with the single solver, and -- the headline -- TCAS
 // localization parity: costs and diagnosis sets are byte-identical to the
-// single-threaded session at 1, 2, and 4 workers.
+// single-threaded session at 1, 2, and 4 workers, whether the shared
+// worker pool has idle lanes for the helpers or none at all.
 //
 // This suite is also the ThreadSanitizer target in CI: every racy path
 // (exchange, interrupt flags, winner protocol) is exercised here.
@@ -18,16 +19,21 @@
 #include "maxsat/Portfolio.h"
 
 #include "core/BugAssist.h"
+#include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
 #include "support/FaultInject.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
+#include "support/WorkerPool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -318,10 +324,29 @@ TEST(Portfolio, EnumerationMatchesSingleThreadedSessionOnChains) {
 
 // --- TCAS localization parity (the acceptance workload) ---------------------
 
-TEST(Portfolio, TcasLocalizationIdenticalAtEveryThreadCount) {
+namespace {
+
+/// One localization query: a TCAS mutant, its driver, and a failing test.
+struct TcasQuery {
+  int Version = 0;
+  std::unique_ptr<Program> Faulty;
+  std::unique_ptr<BugAssistDriver> Driver;
+  InputVector Input;
+  Spec S;
+
+  LocalizationReport localize(size_t Threads) const {
+    LocalizeOptions LO;
+    LO.MaxDiagnoses = 8;
+    LO.Threads = Threads;
+    return localizeFault(Driver->formula(), Input, S, LO);
+  }
+};
+
+/// The first \p Max TCAS mutants with a failing test in the seeded pool.
+std::vector<TcasQuery> failingTcasQueries(size_t Max) {
   DiagEngine Diags;
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
-  ASSERT_TRUE(Golden != nullptr) << Diags.render();
+  EXPECT_TRUE(Golden != nullptr) << Diags.render();
   Interpreter GI(*Golden, tcasExecOptions());
   auto Pool = tcasTestPool(300);
   std::vector<int64_t> GoldenOut;
@@ -329,15 +354,16 @@ TEST(Portfolio, TcasLocalizationIdenticalAtEveryThreadCount) {
   for (const InputVector &In : Pool)
     GoldenOut.push_back(GI.run("main", In).ReturnValue);
 
-  size_t MutantsChecked = 0;
+  std::vector<TcasQuery> Queries;
   for (const TcasMutant &M : tcasMutants()) {
-    if (MutantsChecked >= 2)
+    if (Queries.size() >= Max)
       break;
     DiagEngine D2;
-    auto Faulty = parseAndAnalyze(M.Source, D2);
-    if (!Faulty)
+    TcasQuery Q;
+    Q.Faulty = parseAndAnalyze(M.Source, D2);
+    if (!Q.Faulty)
       continue;
-    Interpreter FI(*Faulty, tcasExecOptions());
+    Interpreter FI(*Q.Faulty, tcasExecOptions());
     size_t FailingIdx = Pool.size();
     for (size_t I = 0; I < Pool.size(); ++I)
       if (FI.run("main", Pool[I]).ReturnValue != GoldenOut[I]) {
@@ -346,45 +372,197 @@ TEST(Portfolio, TcasLocalizationIdenticalAtEveryThreadCount) {
       }
     if (FailingIdx == Pool.size())
       continue;
-    ++MutantsChecked;
+    Q.Version = M.Version;
+    Q.Driver = std::make_unique<BugAssistDriver>(*Q.Faulty, "main",
+                                                 tcasUnrollOptions());
+    Q.Input = Pool[FailingIdx];
+    Q.S.CheckObligations = false;
+    Q.S.GoldenReturn = GoldenOut[FailingIdx];
+    Queries.push_back(std::move(Q));
+  }
+  return Queries;
+}
 
-    BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
-    Spec S;
-    S.CheckObligations = false;
-    S.GoldenReturn = GoldenOut[FailingIdx];
+} // namespace
 
-    LocalizeOptions LO;
-    LO.MaxDiagnoses = 8;
-    LocalizationReport Single =
-        localizeFault(Driver.formula(), Pool[FailingIdx], S, LO);
-    ASSERT_FALSE(Single.Diagnoses.empty()) << "v" << M.Version;
+TEST(Portfolio, TcasLocalizationIdenticalAtEveryThreadCount) {
+  std::vector<TcasQuery> Queries = failingTcasQueries(2);
+  ASSERT_EQ(Queries.size(), 2u) << "TCAS suite lost its failing mutants";
+  for (const TcasQuery &Q : Queries) {
+    LocalizationReport Single = Q.localize(1);
+    ASSERT_FALSE(Single.Diagnoses.empty()) << "v" << Q.Version;
 
     for (size_t Threads : {1u, 2u, 4u}) {
-      LocalizeOptions PLO = LO;
-      PLO.Threads = Threads;
-      LocalizationReport Ported =
-          localizeFault(Driver.formula(), Pool[FailingIdx], S, PLO);
+      LocalizationReport Ported = Q.localize(Threads);
       EXPECT_EQ(Ported.Exhausted, Single.Exhausted)
-          << "v" << M.Version << " threads " << Threads;
+          << "v" << Q.Version << " threads " << Threads;
       EXPECT_EQ(Ported.AllLines, Single.AllLines)
-          << "v" << M.Version << " threads " << Threads;
+          << "v" << Q.Version << " threads " << Threads;
       ASSERT_EQ(Ported.Diagnoses.size(), Single.Diagnoses.size())
-          << "v" << M.Version << " threads " << Threads;
+          << "v" << Q.Version << " threads " << Threads;
       for (size_t D = 0; D < Single.Diagnoses.size(); ++D) {
         EXPECT_EQ(Ported.Diagnoses[D].Lines, Single.Diagnoses[D].Lines)
-            << "v" << M.Version << " threads " << Threads << " diag " << D;
+            << "v" << Q.Version << " threads " << Threads << " diag " << D;
         EXPECT_EQ(Ported.Diagnoses[D].Unwindings,
                   Single.Diagnoses[D].Unwindings)
-            << "v" << M.Version << " threads " << Threads << " diag " << D;
+            << "v" << Q.Version << " threads " << Threads << " diag " << D;
         EXPECT_EQ(Ported.Diagnoses[D].Cost, Single.Diagnoses[D].Cost)
-            << "v" << M.Version << " threads " << Threads << " diag " << D;
+            << "v" << Q.Version << " threads " << Threads << " diag " << D;
       }
       if (Threads > 1) {
         EXPECT_EQ(Ported.PortfolioWins.size(), Threads);
+        // Each round every helper either solved or was skipped.
+        EXPECT_EQ((Ported.HelpersStarted + Ported.HelpersSkipped) %
+                      (Threads - 1),
+                  0u);
       }
     }
   }
-  EXPECT_EQ(MutantsChecked, 2u) << "TCAS suite lost its failing mutants";
+}
+
+// --- racing on the shared worker pool ----------------------------------------
+
+namespace {
+
+/// Occupies every lane of the global pool (grown to at least \p Lanes)
+/// with blocked tasks until release(), so a race forked meanwhile finds
+/// no free lane for its helpers.
+class HeldLanes {
+public:
+  explicit HeldLanes(size_t Lanes) {
+    WorkerPool &Pool = WorkerPool::global();
+    Pool.reserve(Lanes);
+    size_t N = Pool.size();
+    for (size_t I = 0; I < N; ++I)
+      Blockers.fork([this] {
+        std::unique_lock<std::mutex> L(M);
+        ++Started;
+        Changed.notify_all();
+        Changed.wait(L, [this] { return Released; });
+      });
+    std::unique_lock<std::mutex> L(M);
+    Changed.wait(L, [&] { return Started == N; });
+  }
+  ~HeldLanes() { release(); }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> G(M);
+      Released = true;
+    }
+    Changed.notify_all();
+    Blockers.wait();
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable Changed;
+  size_t Started = 0;
+  bool Released = false;
+  TaskGroup Blockers; // declared last: joined before M and Changed go
+};
+
+} // namespace
+
+TEST(PortfolioPool, IdleLanesStartHelpersAndTheReportMatchesWidthOne) {
+  std::vector<TcasQuery> Queries = failingTcasQueries(1);
+  ASSERT_EQ(Queries.size(), 1u);
+  const TcasQuery &Q = Queries[0];
+  LocalizationReport Single = Q.localize(1);
+  LocalizationReport Raced = Q.localize(4);
+  EXPECT_EQ(renderLocalizationReport(Raced), renderLocalizationReport(Single));
+  EXPECT_GT(Raced.HelpersStarted, 0u) << "an idle pool never raced";
+  EXPECT_EQ((Raced.HelpersStarted + Raced.HelpersSkipped) % 3, 0u);
+}
+
+TEST(PortfolioPool, HeldLanesSkipEveryHelperAndTheReportMatchesWidthOne) {
+  std::vector<TcasQuery> Queries = failingTcasQueries(1);
+  ASSERT_EQ(Queries.size(), 1u);
+  const TcasQuery &Q = Queries[0];
+  LocalizationReport Single = Q.localize(1);
+  LocalizationReport Raced;
+  {
+    HeldLanes Held(3);
+    Raced = Q.localize(4);
+  }
+  EXPECT_EQ(renderLocalizationReport(Raced), renderLocalizationReport(Single));
+  EXPECT_EQ(Raced.HelpersStarted, 0u);
+  EXPECT_GT(Raced.HelpersSkipped, 0u);
+  EXPECT_EQ(Raced.HelpersSkipped % 3, 0u);
+}
+
+TEST(PortfolioPool, TheRoundAfterASkippedRoundStillRaces) {
+  // Round 1 runs with every lane held, so worker 0 decides alone and the
+  // three helpers are skipped before their first step. Round 2, with the
+  // lanes free, must race all four sessions -- including the skipped ones,
+  // which resume from the consistent state they were left in -- and agree
+  // with the single-threaded reference at every step.
+  MaxSatInstance Inst = selectorChain(8);
+  auto Reference = makeMaxSatSession(Inst, /*Weighted=*/false);
+  PortfolioSession Portfolio(Inst, /*Weighted=*/false, 4);
+  auto Step = [&](MaxSatSession &S) {
+    MaxSatResult R = S.solve();
+    Clause Beta;
+    for (size_t I : R.FalsifiedSoft)
+      Beta.push_back(Inst.Soft[I].Lits[0]);
+    if (R.Status == MaxSatStatus::Optimum && !Beta.empty())
+      S.addHardClause(Beta);
+    return R;
+  };
+
+  MaxSatResult Want = Step(*Reference);
+  MaxSatResult Got;
+  {
+    HeldLanes Held(3);
+    Got = Step(Portfolio);
+  }
+  ASSERT_EQ(Got.Status, Want.Status);
+  EXPECT_EQ(Got.FalsifiedSoft, Want.FalsifiedSoft);
+  EXPECT_EQ(Portfolio.portfolioStats().HelpersStarted, 0u);
+  EXPECT_EQ(Portfolio.portfolioStats().HelpersSkipped, 3u);
+
+  size_t Rounds = 1;
+  while (Want.Status == MaxSatStatus::Optimum && !Want.FalsifiedSoft.empty()) {
+    Want = Step(*Reference);
+    Got = Step(Portfolio);
+    ++Rounds;
+    ASSERT_EQ(Got.Status, Want.Status) << "round " << Rounds;
+    EXPECT_EQ(Got.Cost, Want.Cost) << "round " << Rounds;
+    EXPECT_EQ(Got.FalsifiedSoft, Want.FalsifiedSoft) << "round " << Rounds;
+  }
+  ASSERT_GT(Rounds, 2u);
+  const PortfolioStats &PS = Portfolio.portfolioStats();
+  EXPECT_EQ(PS.HelpersStarted + PS.HelpersSkipped, 3 * Rounds);
+  uint64_t Wins = 0;
+  for (uint64_t W : PS.WinsByWorker)
+    Wins += W;
+  EXPECT_EQ(Wins, Rounds);
+}
+
+TEST(PortfolioPool, RaceFromInsideEveryBusyLaneNeverDeadlocks) {
+  // Every pool lane runs a width-4 localization at once, so each race's
+  // helpers find no free lane and are either run by their own forker or
+  // skipped. All must finish with the width-1 report.
+  std::vector<TcasQuery> Queries = failingTcasQueries(1);
+  ASSERT_EQ(Queries.size(), 1u);
+  const TcasQuery &Q = Queries[0];
+  const std::string Want = renderLocalizationReport(Q.localize(1));
+  WorkerPool &Pool = WorkerPool::global();
+  Pool.reserve(3);
+  const size_t Lanes = Pool.size();
+  std::atomic<size_t> Started{0};
+  std::vector<std::string> Got(Lanes);
+  TaskGroup G;
+  for (size_t I = 0; I < Lanes; ++I)
+    G.fork([&, I] {
+      ++Started;
+      while (Started < Lanes)
+        std::this_thread::yield();
+      Got[I] = renderLocalizationReport(Q.localize(4));
+    });
+  G.wait();
+  for (size_t I = 0; I < Lanes; ++I)
+    EXPECT_EQ(Got[I], Want) << "lane " << I;
 }
 
 // --- fault isolation ---------------------------------------------------------
