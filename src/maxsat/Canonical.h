@@ -16,7 +16,9 @@
 ///
 /// The routine is engine-agnostic: the linear-search session probes under
 /// its PB-counter bound, Fu-Malik under its live assumption guards; both
-/// bind the mechanics through CanonicalHooks.
+/// bind the mechanics through CanonicalHooks. Both read their witnesses
+/// through one ModelReader, which reads soft-clause variables only unless
+/// the instance asked for the full model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +56,32 @@ struct CanonicalHooks {
 bool greedyCanonicalize(const std::vector<SoftClause> &Soft,
                         const CanonicalHooks &Hooks,
                         std::vector<LBool> &Model);
+
+/// Reads witnesses out of a session's solver for MaxSatResult. Soft-clause
+/// variables are frozen, so reading them never runs model reconstruction;
+/// every other original variable may be eliminated, and its first read
+/// after a True result replays the whole elimination stack
+/// (Solver::extendModel). Canonicalization and the falsified-soft set need
+/// the soft variables only, so the full model is read once per result and
+/// only for instances that set MaxSatInstance::WantModel.
+class ModelReader {
+public:
+  explicit ModelReader(const MaxSatInstance &Inst);
+
+  /// Refreshes the soft-clause variables of \p Model from \p S's last True
+  /// model. A \p Model of the wrong size is first reset to NumVars Undef
+  /// entries.
+  void readSoft(const Solver &S, std::vector<LBool> &Model) const;
+
+  /// readSoft, plus every other original variable when the instance asked
+  /// for the full model.
+  void read(const Solver &S, std::vector<LBool> &Model) const;
+
+private:
+  int NumVars;
+  bool Full;
+  std::vector<Var> SoftVars; ///< distinct soft-clause variables, ascending
+};
 
 } // namespace bugassist
 

@@ -62,8 +62,7 @@ class FuMalikSessionImpl final : public MaxSatSession {
 public:
   FuMalikSessionImpl(const MaxSatInstance &Inst, uint64_t ConflictBudget,
                      const Solver::Options &SolverOpts, bool Canonical)
-      : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft),
-        Canonical(Canonical) {
+      : S(SolverOpts), Reader(Inst), Soft(Inst.Soft), Canonical(Canonical) {
     S.ensureVars(Inst.NumVars);
     // Frozen contract (sat/Simplifier.h): the session keeps talking about
     // these variables after the first solve() -- guards are assumed,
@@ -74,14 +73,8 @@ public:
     for (Var V : Inst.Frozen)
       S.setFrozen(V, true);
     for (const SoftClause &SC : Inst.Soft)
-      for (Lit L : SC.Lits) {
+      for (Lit L : SC.Lits)
         S.setFrozen(L.var(), true);
-        if (L.var() < NumOrigVars)
-          SoftVars.push_back(L.var());
-      }
-    std::sort(SoftVars.begin(), SoftVars.end());
-    SoftVars.erase(std::unique(SoftVars.begin(), SoftVars.end()),
-                   SoftVars.end());
     for (const Clause &C : Inst.Hard)
       if (!S.addClause(C)) {
         HardBroken = true;
@@ -148,17 +141,13 @@ public:
       }
       if (R == LBool::True) {
         Res.Status = MaxSatStatus::Optimum;
-        Res.Model.resize(NumOrigVars);
         if (Canonical && Rounds > 0) {
-          readSoftModel(Res.Model);
+          Reader.readSoft(S, Res.Model);
           canonicalize(Assumptions, Res);
         }
-        // The solver keeps the last True model, so one full read here
-        // equals the witness canonicalization ended on. (Soft variables
-        // are frozen, so the probes above never reconstruct eliminated
-        // variables; this read does, once.)
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Res.Model[V] = S.modelValue(V);
+        // The solver keeps the last True model, so this read equals the
+        // witness canonicalization ended on.
+        Reader.read(S, Res.Model);
         collectFalsifiedSoft(Soft, Res);
         // Fu-Malik invariant: relaxation rounds == optimal cost for unit
         // weights. Holds across incremental blocking clauses too, since
@@ -256,7 +245,7 @@ private:
       ++Res.SatCalls;
       LBool R = S.solve(Assumptions);
       if (R == LBool::True)
-        readSoftModel(Res.Model);
+        Reader.readSoft(S, Res.Model);
       return R;
     };
     Hooks.SatisfyLit = [&](size_t J) { return satisfyLit(J); };
@@ -278,9 +267,7 @@ private:
     S.setBudget(Allowance);
     ++Res.SatCalls;
     if (S.solve() == LBool::True) {
-      Res.BestModel.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Res.BestModel[V] = S.modelValue(V);
+      Reader.read(S, Res.BestModel);
       uint64_t Ub = 0;
       for (const SoftClause &SC : Soft)
         if (!clauseSatisfied(SC.Lits, Res.BestModel))
@@ -312,14 +299,6 @@ private:
     return mkLit(SatisfySelector[J]);
   }
 
-  /// Refreshes the soft-clause variables of \p Model from the solver's
-  /// last model: the only variables canonicalization reads of a probe
-  /// witness.
-  void readSoftModel(std::vector<LBool> &Model) const {
-    for (Var V : SoftVars)
-      Model[V] = S.modelValue(V);
-  }
-
   Var newGuard(size_t SoftIdx) {
     Var A = S.newVar();
     // Guards are assumed every round; releaseVar unfreezes on retirement.
@@ -331,10 +310,9 @@ private:
   }
 
   Solver S;
-  int NumOrigVars;
+  ModelReader Reader;
   std::vector<SoftClause> Soft;     ///< original soft clauses (for re-eval)
   std::vector<Var> PreferTrue;
-  std::vector<Var> SoftVars;        ///< distinct soft-clause vars < NumOrigVars
   std::vector<Clause> WorkingSoft;  ///< soft + accumulated relaxation lits
   std::vector<Var> GuardOf;         ///< soft idx -> live guard variable
   std::vector<int32_t> SoftIdxOfVar; ///< guard var -> soft idx, -1 otherwise

@@ -52,7 +52,7 @@ class LinearSessionImpl final : public MaxSatSession {
 public:
   LinearSessionImpl(const MaxSatInstance &Inst, uint64_t ConflictBudget,
                     const Solver::Options &SolverOpts)
-      : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft) {
+      : S(SolverOpts), Reader(Inst), Soft(Inst.Soft) {
     S.ensureVars(Inst.NumVars);
     // Frozen contract: canonicalization probes assume relaxation literals
     // off, bounds assume counter outputs, and the caller keeps talking
@@ -145,10 +145,11 @@ public:
     uint64_t BestCost = 0;
     bool HaveModel = false;
 
+    // Every True solve below refreshes BestModel, so the solver's last
+    // True model is always BestModel's witness: the search reads soft
+    // variables only, and Reader.read completes the model once at the end.
     auto ExtractModel = [&](std::vector<LBool> &Model) {
-      Model.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Model[V] = S.modelValue(V);
+      Reader.readSoft(S, Model);
       HaveModel = true;
     };
     // Anytime contract: hand back the proven lower bound plus the best
@@ -159,7 +160,8 @@ public:
       Res.LowerBound = LowerBound;
       if (HaveModel) {
         Res.UpperBound = BestCost;
-        Res.BestModel = BestModel;
+        Reader.read(S, BestModel);
+        Res.BestModel = std::move(BestModel);
       } else {
         harvestUpperBound(Res);
       }
@@ -213,6 +215,7 @@ public:
       canonicalize(BestModel, BestCost, Res);
 
     Res.Status = MaxSatStatus::Optimum;
+    Reader.read(S, BestModel);
     Res.Model = std::move(BestModel);
     Res.Cost = BestCost;
     Res.LowerBound = Res.UpperBound = BestCost;
@@ -241,9 +244,7 @@ private:
       S.setPolarity(V, true);
     ++Res.SatCalls;
     if (S.solve() == LBool::True) {
-      Res.BestModel.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Res.BestModel[V] = S.modelValue(V);
+      Reader.read(S, Res.BestModel);
       Res.UpperBound = modelCost(Soft, Res.BestModel);
     }
     S.setBudget(Saved);
@@ -267,8 +268,7 @@ private:
       ++Res.SatCalls;
       LBool R = S.solve(Assumptions);
       if (R == LBool::True)
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Model[V] = S.modelValue(V);
+        Reader.readSoft(S, Model);
       return R;
     };
     Hooks.SatisfyLit = [&](size_t J) { return ~RelaxLits[J]; };
@@ -292,7 +292,7 @@ private:
   }
 
   Solver S;
-  int NumOrigVars;
+  ModelReader Reader;
   std::vector<SoftClause> Soft;
   std::vector<Var> PreferTrue;
   std::vector<Lit> RelaxLits;

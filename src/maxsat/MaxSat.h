@@ -87,6 +87,13 @@ struct MaxSatInstance {
   /// which per-query test clauses bind after the preprocessed base
   /// session was cloned.
   std::vector<Var> Frozen;
+  /// Asks every session built from this instance for the full model in
+  /// MaxSatResult::Model and BestModel. Off, the results carry the
+  /// soft-clause variables only: enough for Cost and FalsifiedSoft, and
+  /// no model reconstruction for variables preprocessing eliminated.
+  /// Localization leaves it off; the `maxsat` command sets it when it
+  /// prints the v line.
+  bool WantModel = false;
 };
 
 /// Converts a parsed DIMACS/WCNF instance (cnf/DimacsReader.h) into a
@@ -116,13 +123,18 @@ enum class MaxSatStatus {
   Unknown    ///< resource budget exhausted
 };
 
-/// Result of a MaxSAT call. On Optimum, Model satisfies all hard clauses,
-/// Cost is the total weight of falsified soft clauses (provably minimal),
-/// and FalsifiedSoft lists their indices -- for BugAssist's encoding this is
-/// exactly the CoMSS (paper Section 3.3).
+/// Result of a MaxSAT call. On Optimum, Cost is the total weight of
+/// falsified soft clauses (provably minimal) and FalsifiedSoft lists their
+/// indices -- for BugAssist's encoding this is exactly the CoMSS (paper
+/// Section 3.3).
 struct MaxSatResult {
   MaxSatStatus Status = MaxSatStatus::Unknown;
   uint64_t Cost = 0;
+  /// The optimal model, one entry per original variable. When the instance
+  /// set MaxSatInstance::WantModel it is a full assignment satisfying every
+  /// hard clause; otherwise only the soft-clause variables are set and
+  /// every other entry is Undef, which still evaluates every soft clause
+  /// exactly (clauseSatisfied). BestModel follows the same rule.
   std::vector<LBool> Model;
   std::vector<size_t> FalsifiedSoft;
   /// SAT calls issued during this solve().
@@ -217,8 +229,8 @@ public:
   /// This is the serve-mode "one encoding, many queries" primitive
   /// (src/serve/FormulaCache.h): a *base* session is built once per cached
   /// trace formula from the shared hard clauses + soft selectors and never
-  /// solved; each query clones it and adds its per-test clauses through
-  /// addHardClause. Because the base is immutable after construction,
+  /// solved; from the formula's second query on, each query clones it and
+  /// adds its per-test clauses through addHardClause. Because the base is immutable after construction,
   /// concurrent clone() calls from several pool workers are safe. The
   /// canonicalization contract makes the shortcut sound: a cloned session's
   /// search may diverge from a freshly built one's, but the reported

@@ -9,6 +9,7 @@
 #include "support/FaultInject.h"
 
 #include <stdexcept>
+#include <utility>
 
 using namespace bugassist;
 
@@ -76,8 +77,16 @@ std::string bugassist::serializeCacheKey(const std::string &Source,
 std::unique_ptr<MaxSatSession>
 CachedProgram::cloneSession(bool Weighted) const {
   const TraceFormula &TF = Prepared->Driver->formula();
-  std::lock_guard<std::mutex> Lock(BaseMu);
-  std::unique_ptr<MaxSatSession> &B = Base[Weighted ? 1 : 0];
+  const size_t Engine = Weighted ? 1 : 0;
+  std::unique_lock<std::mutex> Lock(BaseMu);
+  if (!std::exchange(Used[Engine], true)) {
+    // A base only pays off from its first clone on, and building one
+    // costs more than a whole one-shot query; a program asked about once
+    // (every fresh mutant) would keep it resident for nothing.
+    Lock.unlock();
+    return makeMaxSatSession(TF.sharedInstance(), Weighted);
+  }
+  std::unique_ptr<MaxSatSession> &B = Base[Engine];
   if (!B) {
     B = makeMaxSatSession(TF.sharedInstance(), Weighted);
     // Preprocess the shared base once; clones inherit the shrunken clause
@@ -124,20 +133,29 @@ const CachedProgram &FormulaCache::lookup(const std::string &Source,
   // Build outside the map lock so a slow encode does not serialize
   // lookups of *other* keys; same-key requesters block here until the
   // one build completes. A build that *throws* (the CacheFill fault
-  // below, a real OOM in the encoder) leaves the once_flag unset, so the
-  // next same-key request re-runs the build cleanly -- entries are never
-  // poisoned by a half-finished fill.
-  std::call_once(P->Built, [&] {
+  // below, a real OOM in the encoder) leaves Built unset, so the next
+  // same-key request re-runs the build cleanly -- entries are never
+  // poisoned by a half-finished fill. (A plain mutex rather than
+  // std::call_once: gcc 12's ThreadSanitizer runtime deadlocks the next
+  // call_once on a flag whose callable threw.)
+  std::lock_guard<std::mutex> Build(P->BuildMu);
+  if (!P->Built) {
     // Test-only fault hook (one relaxed load when disarmed).
     if (faultinject::active() &&
         faultinject::onEvent(faultinject::Event::CacheFill))
       throw std::runtime_error("injected cache-fill fault");
     P->Prepared = prepareProgram(Source, Entry, Unroll, Encode, P->Error);
-  });
+    P->Built = true;
+  }
   return *P;
 }
 
 FormulaCacheStats FormulaCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return {Hits, Misses};
+  FormulaCacheStats S{Hits, Misses, 0};
+  for (const auto &[Key, P] : Map) {
+    std::lock_guard<std::mutex> Base(P->BaseMu);
+    S.BaseBuilds += (P->Base[0] != nullptr) + (P->Base[1] != nullptr);
+  }
+  return S;
 }

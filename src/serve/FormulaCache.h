@@ -12,16 +12,18 @@
 /// value is the PreparedProgram (parse + sema + unroll + encode, done
 /// exactly once) together with lazily built *base* MaxSAT sessions -- one
 /// per engine -- over TraceFormula::sharedInstance(). A base session is
-/// never solved; queries clone() it and add their per-test clauses, so the
-/// cost of loading TF1 into a solver is also paid once per formula.
+/// preprocessed but never solved; queries clone() it and add their
+/// per-test clauses, so loading and preprocessing TF1 is paid once per
+/// formula. The base is built on an engine's *second* use of the entry:
+/// the first use gets a plain session, because a base costs more than one
+/// query and most programs (every fresh mutant) are asked about once.
 ///
 /// Concurrency: lookups from any number of pool workers are safe. The
 /// first thread to request a key builds the entry under a per-entry
-/// std::call_once; concurrent requesters of the same key block until it is
-/// ready (encoding still happens exactly once -- the invariant the tests
-/// assert via the miss counter). Base sessions are built under a per-entry
-/// mutex on first use and are immutable afterwards, so concurrent clone()
-/// calls need no further locking.
+/// mutex; concurrent requesters of the same key block until it is ready
+/// (encoding still happens exactly once -- the invariant the tests assert
+/// via the miss counter). Base sessions are built under a second
+/// per-entry mutex and are immutable afterwards.
 ///
 /// Keys hash with FNV-1a for bucket placement but compare by the full
 /// serialized key, so a hash collision costs a probe, never a wrong
@@ -52,30 +54,42 @@ public:
   /// Rendered diagnostics when prepared() is nullptr.
   const std::string &error() const { return Error; }
 
-  /// A fresh session for one query: a clone of the per-engine base session
-  /// (built on first use; a single Fu-Malik or linear session, both of
-  /// which clone). Requires prepared() != nullptr.
+  /// A fresh session for one query (a single Fu-Malik or linear session
+  /// over TraceFormula::sharedInstance()). The engine's first use gets a
+  /// new, unpreprocessed session, which preprocesses at its first solve
+  /// after the pipeline added the test's clauses, as the one-shot path
+  /// does. The second use builds, preprocesses and keeps the base session;
+  /// it and every later use get a clone of it. Requires
+  /// prepared() != nullptr.
   std::unique_ptr<MaxSatSession> cloneSession(bool Weighted) const;
 
 private:
   friend class FormulaCache;
 
-  std::once_flag Built;
+  /// Guards the build in FormulaCache::lookup. Built stays false when the
+  /// build throws, so the next same-key lookup builds again.
+  std::mutex BuildMu;
+  bool Built = false;
   std::unique_ptr<PreparedProgram> Prepared;
   std::string Error;
 
-  /// Base sessions indexed by Weighted, built lazily under BaseMu and
-  /// immutable afterwards (cloned, never solved).
+  /// Per engine (indexed by Weighted): whether cloneSession was called yet,
+  /// and the base session, built on the second call. Both under BaseMu; a
+  /// built base is immutable (cloned, never solved).
   mutable std::mutex BaseMu;
+  mutable bool Used[2] = {false, false};
   mutable std::unique_ptr<MaxSatSession> Base[2];
 };
 
 /// Statistics snapshot: Misses counts cache entries *built* (== programs
 /// parsed/encoded since the cache was created), Hits counts lookups that
-/// found an existing entry. Lookups == Hits + Misses.
+/// found an existing entry (Lookups == Hits + Misses), and BaseBuilds
+/// counts the base sessions built (at most one per entry and engine, never
+/// dropped once built; none for a program asked about once).
 struct FormulaCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+  uint64_t BaseBuilds = 0;
 };
 
 class FormulaCache {

@@ -262,8 +262,9 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
   PipelineRequest R = P;
   R.Localize.Budget = budgetOf(Req, Ctx);
 
-  // The encode-once fast path: a clone of the cached base session, primed
-  // with TF1 + the soft selectors, completed per-test inside the pipeline.
+  // The encode-once fast path: a session over the cached TF1 + the soft
+  // selectors (from the program's second request on, a clone of its
+  // preprocessed base), completed per-test inside the pipeline.
   // Both it and the counterexample search's solver (used only when the
   // request has no input) are in flight, so the watchdog and a drain can
   // stop either stage.
@@ -309,7 +310,7 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
   RepairRequest R = Req.Opts.repairRequest();
   R.Localize.Budget = budgetOf(Req, Ctx);
 
-  // Same encode-once fast path as localize: the cached base session
+  // Same encode-once fast path as localize: the cached program's session
   // serves the localization stage; candidate verification solvers are
   // internal to repairProgram and bounded by verify_budget, so the
   // watchdog rides the localization solve only.
@@ -347,6 +348,7 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
 
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
+  Inst.WantModel = Req.Opts.Model; // the v line
   std::unique_ptr<MaxSatSession> Session =
       makeMaxSatSession(Inst, Req.Opts.weightedEngine(AnyWeight));
   QueryBudget B = budgetOf(Req, Ctx);
@@ -751,6 +753,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
   FormulaCacheStats CS = Cache.stats();
   S.CacheHits = CS.Hits;
   S.CacheMisses = CS.Misses;
+  S.BaseBuilds = CS.BaseBuilds;
   S.Respawns = Respawns;
   S.Retries = Retries;
   S.Drained = Drained;
@@ -761,6 +764,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       << ",\"cancelled\":" << S.Cancelled
       << ",\"cache_hits\":" << S.CacheHits
       << ",\"cache_misses\":" << S.CacheMisses
+      << ",\"base_builds\":" << S.BaseBuilds
       << ",\"respawns\":" << S.Respawns << ",\"retries\":" << S.Retries
       << ",\"drained\":" << (S.Drained ? "true" : "false")
       << ",\"threads\":" << Threads << ",\"elapsed_ms\":" << elapsedMs(Start)

@@ -79,6 +79,7 @@ struct ServeSummary {
   uint64_t Cancelled = 0;  ///< status "cancelled" (accepted, then drained)
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0; ///< == programs parsed + encoded
+  uint64_t BaseBuilds = 0;  ///< cached base sessions built (FormulaCache)
   uint64_t Respawns = 0;    ///< worker threads respawned after a crash
   uint64_t Retries = 0;     ///< request re-runs after a worker crash
   bool Drained = false;     ///< a drain request stopped intake early

@@ -6,13 +6,20 @@
 
 #include "maxsat/MaxSat.h"
 
+#include "cnf/DimacsReader.h"
+#include "core/BugAssist.h"
+#include "interp/Interpreter.h"
+#include "lang/Sema.h"
 #include "maxsat/Cardinality.h"
 #include "maxsat/ReferenceMaxSat.h"
+#include "programs/Tcas.h"
+#include "programs/TcasMutants.h"
 #include "sat/Solver.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 using namespace bugassist;
@@ -675,4 +682,106 @@ TEST(MaxSat, FalsifiedSoftConsistentWithCost) {
       EXPECT_EQ(!clauseSatisfied(Inst.Soft[I].Lits, Res.Model), Reported);
     }
   }
+}
+
+// --- the full model on request ---------------------------------------------
+
+namespace {
+
+/// Runs up to \p Rounds optimizations of Algorithm 1's enumeration (each
+/// optimum blocked by "one of its falsified soft clauses holds") on two
+/// sessions that differ only in MaxSatInstance::WantModel. Reading the
+/// full model must not change the search or any reported figure, and the
+/// full model must satisfy every hard clause.
+void expectFullModelChangesNothing(MaxSatInstance Inst, bool Weighted,
+                                   size_t Rounds, const std::string &What) {
+  Inst.WantModel = false;
+  std::unique_ptr<MaxSatSession> Lean = makeMaxSatSession(Inst, Weighted);
+  MaxSatInstance Full = Inst;
+  Full.WantModel = true;
+  std::unique_ptr<MaxSatSession> Rich = makeMaxSatSession(Full, Weighted);
+  std::vector<Clause> Hard = Inst.Hard;
+  for (size_t Round = 0; Round < Rounds; ++Round) {
+    MaxSatResult A = Lean->solve();
+    MaxSatResult B = Rich->solve();
+    std::string Where = What + " round " + std::to_string(Round);
+    ASSERT_EQ(A.Status, B.Status) << Where;
+    EXPECT_EQ(A.Cost, B.Cost) << Where;
+    EXPECT_EQ(A.FalsifiedSoft, B.FalsifiedSoft) << Where;
+    EXPECT_EQ(A.SatCalls, B.SatCalls) << Where;
+    EXPECT_EQ(A.Search.Conflicts, B.Search.Conflicts) << Where;
+    EXPECT_EQ(A.Search.Propagations, B.Search.Propagations) << Where;
+    if (B.Status != MaxSatStatus::Optimum)
+      return;
+    ASSERT_EQ(B.Model.size(), static_cast<size_t>(Inst.NumVars)) << Where;
+    for (size_t I = 0; I < Hard.size(); ++I)
+      ASSERT_TRUE(clauseSatisfied(Hard[I], B.Model))
+          << Where << ": hard clause " << I;
+    if (A.FalsifiedSoft.empty())
+      return;
+    Clause Block;
+    for (size_t I : A.FalsifiedSoft)
+      Block.insert(Block.end(), Inst.Soft[I].Lits.begin(),
+                   Inst.Soft[I].Lits.end());
+    Hard.push_back(Block);
+    Lean->addHardClause(Block);
+    Rich->addHardClause(Block);
+  }
+}
+
+} // namespace
+
+TEST(ModelOnRequest, TcasLocalizationIsTheSameWithAndWithoutTheFullModel) {
+  DiagEngine Diags;
+  auto Golden = parseAndAnalyze(tcasSource(), Diags);
+  ASSERT_NE(Golden, nullptr) << Diags.render();
+  Interpreter GI(*Golden, tcasExecOptions());
+  std::vector<InputVector> Pool = tcasTestPool(600);
+  size_t Localized = 0;
+  for (const TcasMutant &M : tcasMutants()) {
+    auto Faulty = parseAndAnalyze(M.Source, Diags);
+    ASSERT_NE(Faulty, nullptr) << "v" << M.Version << ": " << Diags.render();
+    Interpreter FI(*Faulty, tcasExecOptions());
+    for (const InputVector &In : Pool) {
+      int64_t Want = GI.run("main", In).ReturnValue;
+      if (FI.run("main", In).ReturnValue == Want)
+        continue;
+      BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
+      Spec S;
+      S.CheckObligations = false;
+      S.GoldenReturn = Want;
+      MaxSatInstance Inst = Driver.formula().localizationInstance(In, S);
+      std::string What = "v" + std::to_string(M.Version);
+      expectFullModelChangesNothing(Inst, /*Weighted=*/false, 8,
+                                    What + " fumalik");
+      expectFullModelChangesNothing(Inst, /*Weighted=*/true, 8,
+                                    What + " linear");
+      ++Localized;
+      break;
+    }
+  }
+  // Two versions are equivalent on the whole pool (Table 1's "no failing
+  // test" rows); every other one was localized.
+  EXPECT_EQ(Localized, 39u);
+}
+
+TEST(ModelOnRequest, CheckedInInstancesSolveTheSameWithAndWithoutTheModel) {
+  size_t Files = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(BUGASSIST_INSTANCE_DIR)) {
+    std::string Ext = Entry.path().extension().string();
+    if (!Entry.is_regular_file() || (Ext != ".cnf" && Ext != ".wcnf"))
+      continue;
+    DimacsParseError Err;
+    auto D = readDimacsFile(Entry.path().string(), Err);
+    ASSERT_TRUE(D.has_value()) << Err.render();
+    MaxSatInstance Inst = toMaxSatInstance(std::move(*D));
+    std::string What = Entry.path().filename().string();
+    expectFullModelChangesNothing(Inst, /*Weighted=*/false, 4,
+                                  What + " fumalik");
+    expectFullModelChangesNothing(Inst, /*Weighted=*/true, 4,
+                                  What + " linear");
+    ++Files;
+  }
+  EXPECT_GE(Files, 8u);
 }

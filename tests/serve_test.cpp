@@ -20,6 +20,7 @@
 #include "core/Pipeline.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
+#include "serve/FormulaCache.h"
 #include "serve/Json.h"
 #include "serve/LocalizeServer.h"
 #include "serve/OptionTable.h"
@@ -360,6 +361,72 @@ TEST(ServeLib, CacheMissesCountDistinctProgramOptionKeys) {
   EXPECT_EQ(R.Frames[0].Body, R.Frames[4].Body);
 }
 
+TEST(ServeLib, BaseSessionIsBuiltOnAProgramsSecondRequest) {
+  // A program asked about once keeps no base session; the second request
+  // builds it and later ones clone it. Both engines count separately.
+  std::string Req = "{\"cmd\":\"localize\",\"source\":\"" +
+                    jsonEscape(ArrayProgram) + "\"";
+  std::string Weighted = Req + ",\"weighted\":true}\n";
+  Req += "}\n";
+  LibRun One = runServe(Req, /*Threads=*/1);
+  EXPECT_EQ(One.Summary.Ok, 1u);
+  EXPECT_EQ(One.Summary.BaseBuilds, 0u) << One.ErrLine;
+  EXPECT_NE(One.ErrLine.find("\"base_builds\":0"), std::string::npos)
+      << One.ErrLine;
+
+  LibRun Two = runServe(Req + Req, /*Threads=*/2);
+  EXPECT_EQ(Two.Summary.Ok, 2u);
+  EXPECT_EQ(Two.Summary.BaseBuilds, 1u) << Two.ErrLine;
+  EXPECT_NE(Two.ErrLine.find("\"base_builds\":1"), std::string::npos)
+      << Two.ErrLine;
+  ASSERT_EQ(Two.Frames.size(), 2u);
+  EXPECT_EQ(Two.Frames[0].Body, Two.Frames[1].Body);
+
+  LibRun Mixed = runServe(Req + Req + Req + Weighted + Weighted, /*Threads=*/2);
+  EXPECT_EQ(Mixed.Summary.Ok, 5u);
+  EXPECT_EQ(Mixed.Summary.CacheMisses, 1u) << Mixed.ErrLine;
+  EXPECT_EQ(Mixed.Summary.BaseBuilds, 2u) << Mixed.ErrLine;
+}
+
+TEST(FormulaCacheUnit, ConcurrentSecondUsesBuildExactlyOneBase) {
+  FormulaCache Cache;
+  const CachedProgram &CP =
+      Cache.lookup(ArrayProgram, "main", UnrollOptions(), EncodeOptions());
+  ASSERT_NE(CP.prepared(), nullptr) << CP.error();
+  // The first use is a plain session: nothing is built or kept.
+  std::unique_ptr<MaxSatSession> First = CP.cloneSession(false);
+  ASSERT_NE(First, nullptr);
+  EXPECT_EQ(Cache.stats().BaseBuilds, 0u);
+
+  // Every later use races for the one base.
+  constexpr size_t N = 4;
+  std::vector<std::unique_ptr<MaxSatSession>> Sessions(N);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < N; ++I)
+    Threads.emplace_back([&, I] { Sessions[I] = CP.cloneSession(false); });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Cache.stats().BaseBuilds, 1u);
+
+  // Every session, the plain first one included, optimizes the same
+  // formula: the same failing test gives the same CoMSS everywhere.
+  const TraceFormula &TF = CP.prepared()->Driver->formula();
+  Spec S;
+  auto Solve = [&](MaxSatSession &Sess) {
+    for (const Clause &C : TF.testClauses({InputValue::scalar(1)}, S))
+      Sess.addHardClause(C);
+    return Sess.solve();
+  };
+  MaxSatResult Want = Solve(*First);
+  ASSERT_EQ(Want.Status, MaxSatStatus::Optimum);
+  for (size_t I = 0; I < N; ++I) {
+    ASSERT_NE(Sessions[I], nullptr);
+    MaxSatResult Got = Solve(*Sessions[I]);
+    EXPECT_EQ(Got.Cost, Want.Cost) << "session " << I;
+    EXPECT_EQ(Got.FalsifiedSoft, Want.FalsifiedSoft) << "session " << I;
+  }
+}
+
 // --- failure isolation --------------------------------------------------------
 
 TEST(ServeLib, BudgetExhaustionIsIncompleteAndDoesNotPoisonThePool) {
@@ -679,21 +746,39 @@ TEST(ServeSelfHealing, PreprocessCrashHealsAndTheBaseSessionIsNotPoisoned) {
   // inside cloneSession(); the half-built base must be dropped (not left
   // mid-pass for the next clone), the worker respawned, and the retry
   // must rebuild and answer identically to the fault-free run.
+  //
+  // The base is built on the program's second request, so the fault must
+  // skip the first request's own preprocess: its session is the only
+  // simplifier run before the base (the input is given, so there is no
+  // counterexample search), and a pass makes at most 3 rounds (one
+  // simplify event each). Event 4 is therefore the base build's.
   std::string Req = "{\"cmd\":\"localize\",\"source\":\"" +
-                    jsonEscape(ArrayProgram) + "\"}";
-  std::string Batch = Req + "\n" + Req + "\n";
+                    jsonEscape(ArrayProgram) + "\",\"input\":\"1\"}";
+  std::string Batch = Req + "\n" + Req + "\n" + Req + "\n";
   LibRun Clean = runServe(Batch, /*Threads=*/1);
-  ASSERT_EQ(Clean.Summary.Ok, 2u);
+  ASSERT_EQ(Clean.Summary.Ok, 3u);
+  EXPECT_EQ(Clean.Summary.BaseBuilds, 1u) << Clean.ErrLine;
 
   LibRun Faulty;
   {
-    faultinject::ScopedFault Fault("simplify:badalloc@1");
+    faultinject::ScopedFault Fault("simplify:badalloc@4");
     Faulty = runServe(Batch, /*Threads=*/1);
   }
-  EXPECT_EQ(Faulty.Summary.Ok, 2u);
+  EXPECT_EQ(faultinject::firedCount(faultinject::Event::SimplifyStep), 1u);
+  EXPECT_EQ(Faulty.Summary.Ok, 3u);
   EXPECT_EQ(Faulty.Summary.Respawns, 1u) << Faulty.ErrLine;
   EXPECT_EQ(Faulty.Summary.Retries, 1u) << Faulty.ErrLine;
   EXPECT_EQ(Faulty.Summary.ExitCode, 0);
+  // The request that paid the miss did not crash (its retry would have
+  // found the entry cached and answered "hit"), so the fault hit the base
+  // build; the retry rebuilt the base and the last request cloned it. A
+  // failed build is not counted.
+  ASSERT_EQ(Faulty.Frames.size(), 3u);
+  size_t Misses = 0;
+  for (const Frame &F : Faulty.Frames)
+    Misses += F.CacheField == "miss";
+  EXPECT_EQ(Misses, 1u);
+  EXPECT_EQ(Faulty.Summary.BaseBuilds, 1u) << Faulty.ErrLine;
   expectSameFrames(Faulty.Frames, Clean.Frames);
 }
 

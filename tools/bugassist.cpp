@@ -269,6 +269,7 @@ int cmdMaxsat(const std::string &Path, const CommandOptions &O) {
   bool FromWcnf = Parsed->Weighted;
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
+  Inst.WantModel = O.Model; // the v line
   bool Weighted = O.weightedEngine(AnyWeight);
   if (!Weighted && O.Engine == "fumalik" && AnyWeight)
     std::printf("c warning: fumalik engine ignores the non-unit weights\n");
